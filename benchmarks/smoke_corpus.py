@@ -1,22 +1,12 @@
-"""Corpus perf smoke: gates the batched native translation units and
-the sharded sweep orchestrator, and emits ``BENCH_corpus.json``.
+"""Corpus perf smoke: gates the sharded sweep orchestrator and emits
+``BENCH_corpus.json``.
 
     PYTHONPATH=src python benchmarks/smoke_corpus.py [--out PATH]
-        [--size N] [--shards K] [--batch B]
+        [--size N] [--shards K]
 
-Sections (all corpus kernels come from the property-based generator,
-so the bench scales to any ``--size`` without touching the suite):
+The corpus kernels come from the property-based generator (after the
+suite's), so the bench scales to any ``--size``:
 
-* ``batch_build``  — corpus-cold native compile throughput: every
-  kernel built into a fresh artifact cache through the batched
-  translation units (``prebuild_native``, B kernels per ``cc``) vs the
-  one-TU-per-kernel path (one ``cc`` + self-check each).  **Gated**:
-  the batched path must win ≥3×.  ``skipped`` without a C toolchain.
-* ``batch_parity`` — a sweep with batching on vs off
-  (``REPRO_NATIVE_BATCH``) must produce bit-identical samples; the
-  batch members self-check against the interpreter at build time, so
-  a divergence here would mean the dispatcher routed a wrong symbol.
-  **Gated**.
 * ``sharding``     — ``measure_corpus`` with ``--shards`` shards and a
   stream directory vs a serial single-shard sweep of the same names:
   bit-identical samples, identical failures, zero quarantines.
@@ -41,99 +31,12 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.experiments import ARM_LLV  # noqa: E402
 from repro.experiments.corpus import corpus_kernel_names  # noqa: E402
-from repro.gen import corpus_names, generate_kernel  # noqa: E402
 from repro.pipeline import MeasurementCache, measure_corpus  # noqa: E402
 from repro.pipeline.faultinject import _samples_equal  # noqa: E402
-from repro.sim import native, prebuild_native  # noqa: E402
-from repro.sim.compile import kernel_fingerprint  # noqa: E402
 
 
 def nocache() -> MeasurementCache:
     return MeasurementCache(root="/nonexistent", enabled=False)
-
-
-def _fresh_native_cache(tmp: str, batch: int) -> None:
-    os.environ["REPRO_NATIVE_CACHE_DIR"] = tmp
-    os.environ["REPRO_NATIVE_BATCH"] = str(batch)
-    native.reset_native_state()
-
-
-def bench_batch_build(size: int, batch: int) -> dict:
-    """Corpus-cold compile throughput, batched vs one-TU-per-kernel."""
-    tc = native.find_toolchain()
-    if tc is None or not native.native_enabled():
-        return {"skipped": "no usable C toolchain"}
-    kernels = [generate_kernel(n) for n in corpus_names(size, seed=17)]
-
-    with tempfile.TemporaryDirectory() as tmp:
-        _fresh_native_cache(tmp, batch)
-        t0 = time.perf_counter()
-        statuses = prebuild_native(kernels)
-        batched_s = time.perf_counter() - t0
-        built = sum(
-            1 for v in statuses.values() if v in ("exact", "tolerance")
-        )
-
-    with tempfile.TemporaryDirectory() as tmp:
-        _fresh_native_cache(tmp, 1)
-        tc = native.find_toolchain()
-        t0 = time.perf_counter()
-        solo_built = 0
-        for k in kernels:
-            fp = kernel_fingerprint(k)
-            nfp = native._native_fingerprint(fp, tc)
-            try:
-                native._build_artifact(k, fp, tc, tmp, nfp)
-                solo_built += 1
-            except Exception:
-                pass
-        solo_s = time.perf_counter() - t0
-
-    _fresh_native_cache(tempfile.mkdtemp(prefix="repro-bench-"), batch)
-    ratio = solo_s / batched_s if batched_s > 0 else float("inf")
-    return {
-        "kernels": len(kernels),
-        "batch_size": batch,
-        "batched_s": round(batched_s, 3),
-        "batched_built": built,
-        "solo_s": round(solo_s, 3),
-        "solo_built": solo_built,
-        "speedup": round(ratio, 2),
-        "gate_3x": ratio >= 3.0,
-    }
-
-
-def bench_batch_parity(size: int) -> dict:
-    """Batching must never change a measured float."""
-    names = corpus_kernel_names(size)
-
-    def sweep(batch: int):
-        os.environ["REPRO_NATIVE_BATCH"] = str(batch)
-        native.reset_native_state()
-        return measure_corpus(
-            names, ARM_LLV, shards=1, workers=1,
-            supervise=False, cache=nocache(),
-        )
-
-    t0 = time.perf_counter()
-    batched = sweep(int(os.environ.get("REPRO_NATIVE_BATCH", "24") or 24))
-    batched_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    unbatched = sweep(0)
-    unbatched_s = time.perf_counter() - t0
-    os.environ.pop("REPRO_NATIVE_BATCH", None)
-    native.reset_native_state()
-    identical = (
-        _samples_equal(batched.samples, unbatched.samples)
-        and batched.failures == unbatched.failures
-    )
-    return {
-        "kernels": len(names),
-        "batched_sweep_s": round(batched_s, 3),
-        "unbatched_sweep_s": round(unbatched_s, 3),
-        "samples": len(batched.samples),
-        "gate_bit_identical": identical,
-    }
 
 
 def bench_sharding(size: int, shards: int) -> dict:
@@ -174,24 +77,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--size",
         type=int,
-        default=500,
-        help="corpus size for the throughput gate (default: 500)",
-    )
-    parser.add_argument(
-        "--sweep-size",
-        type=int,
-        default=None,
-        help="corpus size for the parity/sharding sweeps "
-        "(default: min(--size, 200))",
+        default=200,
+        help="kernels in the sharded and serial sweeps (default: 200)",
     )
     parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument(
-        "--batch",
-        type=int,
-        default=int(os.environ.get("REPRO_NATIVE_BATCH", "24") or 24),
-    )
     args = parser.parse_args(argv)
-    sweep_size = args.sweep_size or min(args.size, 200)
 
     payload = {
         "host": {
@@ -199,18 +89,14 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "cpus": os.cpu_count(),
         },
-        "batch_build": bench_batch_build(args.size, args.batch),
-        "batch_parity": bench_batch_parity(sweep_size),
-        "sharding": bench_sharding(sweep_size, args.shards),
+        "sharding": bench_sharding(args.size, args.shards),
     }
 
-    failures = []
-    for section, results in payload.items():
-        if not isinstance(results, dict) or "skipped" in results:
-            continue
-        for key, value in results.items():
-            if key.startswith("gate_") and not value:
-                failures.append(f"{section}.{key}")
+    failures = [
+        f"sharding.{key}"
+        for key, value in payload["sharding"].items()
+        if key.startswith("gate_") and not value
+    ]
     payload["gates_passed"] = not failures
     if failures:
         payload["gate_failures"] = failures

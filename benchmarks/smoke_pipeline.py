@@ -15,29 +15,8 @@ Measured (best of ``--repeat`` runs, full ARM+x86 suite sweep):
 * ``resilience``       — supervised pool vs the raw executor on the
   warm (fully cached) path — the supervision layer must cost <5%
   there — plus the cold serial comparison for reference;
-* ``executor_compile`` — full-suite ``run_scalar`` sweep through the
-  tree-walking interpreter vs the kernel compiler with the native tier
-  pinned off (``REPRO_NATIVE=0``; cold: includes every build +
-  self-check; warm: cached closures).  The cold compiled sweep must
-  beat the interpreter by ≥5×;
-* ``native``           — the same sweep through the native C tier.
-  ``build_sweep_s`` pays every ``cc`` invocation + self-check into a
-  fresh artifact cache; ``cold_s`` is the steady-state process-cold
-  shape (artifacts on disk, every kernel re-attached via dlopen);
-  ``warm_s`` keeps the attach memos.  Gated: the process-cold native
-  sweep must beat the cold NumPy-tier sweep ≥5×, or the section is an
-  explicit ``skipped`` entry on hosts without a C toolchain;
-* ``ranges``           — bounds-check elision pricing: a warm native
-  sweep at *full* trips over the kernels whose gather/scatter accesses
-  the range analysis proved in bounds, with proofs consumed
-  (``REPRO_RANGES=1``, unguarded fast body behind the runtime contract
-  scan) vs disabled (``REPRO_RANGES=0``, per-element ``repro_idx``
-  clamps).  Gated: elision must win ≥1.05× and both configurations
-  must stay bit-identical; ``skipped`` without a toolchain;
 * ``loocv_refit_s`` / ``loocv_fast_s`` — L2 LOOCV, refit loop vs
   hat-matrix fast path, on the ARM dataset;
-* ``loocv_nnls``       — NNLS LOOCV, cold Lawson–Hanson refit loop vs
-  the active-set warm-start path, on the ARM dataset;
 * ``experiments``      — the E1–E12 suite through the experiment
   engine (shared matrix bundles + engine memo + warm SVR folds +
   parallel drivers) vs the per-driver seed path, written to its own
@@ -70,29 +49,17 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro.costmodel import RatedSpeedupModel, SpeedupModel  # noqa: E402
+from repro.costmodel import RatedSpeedupModel  # noqa: E402
 from repro.experiments import ARM_LLV, X86_SLP, build_dataset  # noqa: E402
-from repro.fitting import LeastSquares, NonNegativeLeastSquares  # noqa: E402
+from repro.fitting import LeastSquares  # noqa: E402
 from repro.pipeline import (  # noqa: E402
     DatasetBuildStats,
     MeasurementCache,
     measure_suite,
 )
-from repro.sim import (  # noqa: E402
-    clear_compile_cache,
-    compile_summary,
-    make_buffers,
-    run_scalar_compiled,
-    run_scalar_interpreted,
-)
-from repro.tsvc import all_kernels  # noqa: E402
 from repro.validation import loocv_predictions  # noqa: E402
 
 BOTH_SPECS = (ARM_LLV, X86_SLP)
-
-#: Inner-trip truncation for the executor sweep — the hot-path shape
-#: (guard-probability estimation runs the same truncated trips).
-SWEEP_ITERS = 512
 
 
 def best_of(repeat: int, fn) -> float:
@@ -123,224 +90,6 @@ def sweep_both(
         )
         total += len(samples) + len(failures)
     return total
-
-
-def executor_sweep(runner) -> None:
-    """One full-suite scalar execution through ``runner``."""
-    for kernel in all_kernels():
-        bufs = make_buffers(kernel, seed=0)
-        runner(kernel, bufs, None, SWEEP_ITERS)
-
-
-def executor_compile_bench(repeat: int) -> tuple[float, dict, bool]:
-    """Interpreter vs NumPy-tier compiler sweep (native pinned off)."""
-    from repro.sim import reset_native_state
-
-    os.environ["REPRO_NATIVE"] = "0"
-    reset_native_state()
-    try:
-        interp_s = best_of(repeat, lambda: executor_sweep(run_scalar_interpreted))
-        clear_compile_cache()
-        t0 = time.perf_counter()
-        executor_sweep(run_scalar_compiled)  # pays every build + self-check
-        compile_cold_s = time.perf_counter() - t0
-        compile_warm_s = best_of(
-            repeat, lambda: executor_sweep(run_scalar_compiled)
-        )
-        csum = compile_summary()
-    finally:
-        os.environ.pop("REPRO_NATIVE", None)
-        reset_native_state()
-    section = {
-        "sweep_iters": SWEEP_ITERS,
-        "interpreted_s": round(interp_s, 4),
-        "compiled_cold_s": round(compile_cold_s, 4),
-        "compiled_warm_s": round(compile_warm_s, 4),
-        "cold_speedup": round(interp_s / compile_cold_s, 2),
-        "warm_speedup": round(interp_s / compile_warm_s, 2),
-        "kernels_vector": csum["kernels_vector"],
-        "kernels_scalar": csum["kernels_scalar"],
-        "kernels_demoted": csum["kernels_demoted"],
-        "kernels_refused": csum["kernels_refused"],
-    }
-    # The kernel compiler must beat the interpreter ≥5× even when it
-    # pays every build and self-check (cold), with nothing refused.
-    ok = section["cold_speedup"] >= 5.0 and section["kernels_refused"] == 0
-    return interp_s, section, ok
-
-
-def native_bench(repeat: int, interp_s: float, numpy_cold_s: float) -> tuple[dict, bool]:
-    """Native C tier sweep: build pass, process-cold attach, warm memo.
-
-    On hosts without a toolchain the section is an explicit ``skipped``
-    entry and the gate passes — degradation is the contract there.
-    """
-    from repro.sim import native_available, reset_native_state
-    from repro.sim.toolchain import toolchain_failure
-
-    reset_native_state()
-    if not native_available():
-        reason = toolchain_failure() or "native tier disabled"
-        return {"skipped": reason}, True
-    with tempfile.TemporaryDirectory() as tmp:
-        os.environ["REPRO_NATIVE_CACHE_DIR"] = tmp
-        try:
-            reset_native_state()
-            clear_compile_cache()
-            before = compile_summary()
-            t0 = time.perf_counter()
-            executor_sweep(run_scalar_compiled)  # every cc build + self-check
-            build_sweep_s = time.perf_counter() - t0
-            csum = compile_summary()
-
-            def process_cold():
-                # Artifacts stay on disk; in-process memos are dropped,
-                # so every kernel re-attaches (dlopen + dlsym) and runs.
-                clear_compile_cache()
-                executor_sweep(run_scalar_compiled)
-
-            cold_s = best_of(repeat, process_cold)
-            warm_s = best_of(repeat, lambda: executor_sweep(run_scalar_compiled))
-        finally:
-            os.environ.pop("REPRO_NATIVE_CACHE_DIR", None)
-            reset_native_state()
-    section = {
-        "sweep_iters": SWEEP_ITERS,
-        "build_sweep_s": round(build_sweep_s, 4),
-        "native_build_s": round(
-            csum["native_build_s"] - before["native_build_s"], 4
-        ),
-        "cold_s": round(cold_s, 4),
-        "warm_s": round(warm_s, 4),
-        "cold_speedup_vs_numpy": round(numpy_cold_s / cold_s, 2),
-        "warm_speedup_vs_interp": round(interp_s / warm_s, 2),
-        "kernels_native": csum["kernels_native"] - before["kernels_native"],
-        "kernels_demoted": csum["kernels_native_demoted"]
-        - before["kernels_native_demoted"],
-        "toolchain": csum["toolchain"],
-    }
-    # The process-cold native sweep (attach, don't compile) must beat
-    # the cold NumPy-tier sweep ≥5× and leave no kernel unbuilt.
-    ok = (
-        section["cold_speedup_vs_numpy"] >= 5.0
-        and section["kernels_native"] > 0
-    )
-    return section, ok
-
-
-def ranges_bench(repeat: int) -> tuple[dict, bool]:
-    """Price the range-analysis bounds elision on the native tier.
-
-    Sweeps the kernels whose native artifact actually carries a
-    contract dispatcher (the codegen's profitability gate keeps
-    independent scatter streams on the plain guarded body) with range
-    proofs consumed vs disabled.  Both configurations are compiled up
-    front and kept resident — their cache fingerprints differ — and
-    the sweep drives the native entry closures directly, so the clock
-    sees marshalling + dispatch + kernel body and nothing tier-generic.
-    Each kernel is timed *warm* — its two arms alternate back-to-back
-    while its buffers stay cache-resident, and the median call per arm
-    is kept — then the sweep totals are the sums of the per-kernel
-    medians.  Interleaving the arms cancels slow drift of the host
-    clock speed out of the ratio, and per-kernel pairing keeps the
-    comparison out of the cache-cold regime a round-robin sweep of
-    every working set would create.  Buffers are built once per kernel
-    and reused across timed runs — the index arrays are never written,
-    so the data contract keeps holding.
-    """
-    import statistics
-
-    from repro.sim import native, native_available, reset_native_state
-    from repro.sim import compile as simcompile
-    from repro.sim.compile import bit_identical
-    from repro.sim.executor import initial_scalars
-    from repro.sim.toolchain import toolchain_failure
-
-    reset_native_state()
-    clear_compile_cache()
-    if not native_available():
-        reason = toolchain_failure() or "native tier disabled"
-        return {"skipped": reason}, True
-
-    tc = native.find_toolchain()
-    kernels = []
-    for k in all_kernels():
-        fp = simcompile._cache_fp(k)
-        mod = native._attach(k, fp, tc, native._native_fingerprint(fp, tc))
-        if isinstance(mod, native._NativeModule) and mod.meta.get(
-            "elided", {}
-        ).get("gathers"):
-            kernels.append(k)
-    if not kernels:
-        return {"skipped": "no contract-dispatching gather kernels"}, False
-    # Several independent allocations per kernel: gather timings are
-    # sensitive to page-offset aliasing between the arrays, so one
-    # allocation draw per kernel leaves the aggregate hostage to
-    # placement luck.  Each draw is timed warm and the medians summed.
-    seeds = (0, 1, 2)
-    buffers = {
-        (k.name, s): make_buffers(k, seed=s) for k in kernels for s in seeds
-    }
-    envs = {k.name: initial_scalars(k) for k in kernels}
-    trips = {k.name: simcompile._trips(k, None) for k in kernels}
-
-    cks_elided = {k.name: simcompile.get_compiled(k) for k in kernels}
-    os.environ["REPRO_RANGES"] = "0"
-    try:
-        cks_guarded = {k.name: simcompile.get_compiled(k) for k in kernels}
-    finally:
-        os.environ.pop("REPRO_RANGES", None)
-    for cks in (cks_elided, cks_guarded):
-        for name, ck in cks.items():
-            if ck.mode != "native":
-                return {"skipped": f"{name} not on the native tier"}, False
-
-    rounds = max(40, repeat * 8)
-    elided_s = guarded_s = 0.0
-    for k in kernels:
-        it, ot = trips[k.name]
-        env = envs[k.name]
-        fn_e = cks_elided[k.name].fn
-        fn_g = cks_guarded[k.name].fn
-        for s in seeds:
-            bufs = buffers[(k.name, s)]
-            fn_e(bufs, env, it, ot)  # warm: caches, branch state
-            fn_g(bufs, env, it, ot)
-            et, gt = [], []
-            for _ in range(rounds):
-                t0 = time.perf_counter()
-                fn_e(bufs, env, it, ot)
-                et.append(time.perf_counter() - t0)
-                t0 = time.perf_counter()
-                fn_g(bufs, env, it, ot)
-                gt.append(time.perf_counter() - t0)
-            elided_s += statistics.median(et)
-            guarded_s += statistics.median(gt)
-
-    # Bit-identity of the two configurations on fresh buffers.
-    identical = True
-    for k in kernels:
-        b1 = make_buffers(k, seed=1)
-        r1 = run_scalar_compiled(k, b1, None, None)
-        os.environ["REPRO_RANGES"] = "0"
-        try:
-            b0 = make_buffers(k, seed=1)
-            r0 = run_scalar_compiled(k, b0, None, None)
-        finally:
-            os.environ.pop("REPRO_RANGES", None)
-        identical = identical and bit_identical(r1, b1, r0, b0)
-    reset_native_state()
-    clear_compile_cache()
-
-    section = {
-        "kernels": [k.name for k in kernels],
-        "elided_warm_s": round(elided_s, 5),
-        "guarded_warm_s": round(guarded_s, 5),
-        "elision_speedup": round(guarded_s / elided_s, 3),
-        "bit_identical": identical,
-    }
-    ok = section["elision_speedup"] >= 1.05 and identical
-    return section, ok
 
 
 def run_pytest_benchmarks() -> dict:
@@ -424,12 +173,6 @@ def main(argv: list[str] | None = None) -> int:
         "job's entry point)",
     )
     parser.add_argument(
-        "--native-only",
-        action="store_true",
-        help="run only the executor sweeps and the native-tier section "
-        "(the CI native job's entry point)",
-    )
-    parser.add_argument(
         "--pytest-bench",
         action="store_true",
         help="also run the pytest-benchmark files (slower)",
@@ -439,37 +182,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiments_only:
         _, experiments_ok = run_experiments_bench(Path(args.experiments_out))
         return 0 if experiments_ok else 1
-
-    # Executor sweep: interpreter vs NumPy-tier compiler vs native tier.
-    interp_s, compile_section, compile_ok = executor_compile_bench(args.repeat)
-    native_section, native_ok = native_bench(
-        args.repeat, interp_s, compile_section["compiled_cold_s"]
-    )
-    ranges_section, ranges_ok = ranges_bench(args.repeat)
-
-    if args.native_only:
-        report = {
-            "schema": 1,
-            "host": {
-                "python": platform.python_version(),
-                "machine": platform.machine(),
-                "cpu_count": os.cpu_count(),
-            },
-            "config": {"workers": args.workers, "repeat": args.repeat},
-            "executor_compile": compile_section,
-            "native": native_section,
-            "ranges": ranges_section,
-        }
-        print(json.dumps(report, indent=2))
-        if not (compile_ok and native_ok and ranges_ok):
-            print(
-                "NATIVE SMOKE FAILURE: the kernel compiler missed its 5x "
-                "cold-sweep bar, the native tier missed its 5x bar over "
-                "the NumPy tier, or bounds-check elision missed its "
-                "1.05x bar / broke bit-identity"
-            )
-            return 1
-        return 0
 
     with tempfile.TemporaryDirectory() as tmp:
         off = MeasurementCache(root=Path(tmp) / "off", enabled=False)
@@ -525,24 +237,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     )
 
-    # NNLS LOOCV: cold Lawson–Hanson refit loop vs the active-set
-    # warm-start path.  Predictions may legitimately differ where the
-    # rank-deficient optimum is non-unique; the fold *coverage* (which
-    # folds produced a finite prediction) must be identical.
-    nnls_factory = lambda: SpeedupModel(NonNegativeLeastSquares())  # noqa: E731
-    nnls_warm = loocv_predictions(nnls_factory, samples)
-    nnls_cold = loocv_predictions(nnls_factory, samples, fast=False)
-    nnls_warm_s = best_of(
-        args.repeat, lambda: loocv_predictions(nnls_factory, samples)
-    )
-    nnls_refit_s = best_of(
-        args.repeat,
-        lambda: loocv_predictions(nnls_factory, samples, fast=False),
-    )
-    nnls_coverage_equal = bool(
-        np.array_equal(np.isfinite(nnls_warm), np.isfinite(nnls_cold))
-    )
-
     report = {
         "schema": 1,
         "host": {
@@ -564,9 +258,6 @@ def main(argv: list[str] | None = None) -> int:
             "parallel_reason": parallel_stats.reason,
             "estimated_work": round(parallel_stats.estimated_work, 1),
         },
-        "executor_compile": compile_section,
-        "native": native_section,
-        "ranges": ranges_section,
         "static_prepass": {
             "warm_with_prepass_s": round(warm_pre, 4),
             "warm_without_prepass_s": round(warm_nopre, 4),
@@ -592,12 +283,6 @@ def main(argv: list[str] | None = None) -> int:
             "fast_path_s": round(fast_s, 5),
             "fast_speedup": round(refit_s / fast_s, 2),
             "max_abs_difference": agree,
-        },
-        "loocv_nnls": {
-            "refit_loop_s": round(nnls_refit_s, 5),
-            "warm_start_s": round(nnls_warm_s, 5),
-            "warm_speedup": round(nnls_refit_s / nnls_warm_s, 2),
-            "coverage_identical": nnls_coverage_equal,
         },
     }
     if args.pytest_bench:
@@ -627,34 +312,20 @@ def main(argv: list[str] | None = None) -> int:
         report["dataset_build"]["parallel_speedup"] >= 1.0
         or report["dataset_build"]["parallel_strategy"] == "serial"
     )
-    # The matrix-cached refit loop narrowed the gap (both paths are
-    # single-digit milliseconds now), so the warm path must win up to
-    # a 2 ms timer-noise floor rather than by a strict ratio.
-    nnls_ok = report["loocv_nnls"]["coverage_identical"] and (
-        nnls_warm_s < nnls_refit_s + 0.002
-    )
     if not (
         ok
         and warm_ok
         and prepass_ok
         and resilience_ok
         and parallel_ok
-        and compile_ok
-        and native_ok
-        and ranges_ok
-        and nnls_ok
         and experiments_ok
     ):
         print(
             "SMOKE FAILURE: fast LOOCV disagrees, warm build regressed, "
             "the static prepass costs >5% on a warm rebuild, the "
             "supervised pool costs >5% over the raw executor, the "
-            "parallel sweep silently lost to serial, the kernel "
-            "compiler missed its 5x cold-sweep bar, the native tier "
-            "missed its 5x bar over the NumPy tier, bounds-check "
-            "elision missed its 1.05x bar or broke bit-identity, "
-            "warm-start NNLS LOOCV regressed, or the experiment engine "
-            "missed its gates"
+            "parallel sweep silently lost to serial, or the experiment "
+            "engine missed its gates"
         )
         return 1
     return 0

@@ -11,15 +11,13 @@ over a bootstrapped model registry:
 * ``clean``    — end-to-end request latency (p50/p99) and throughput
   over ``--rounds`` passes of the request set, no faults;
 * ``faulted``  — the same stream under a ~10% deterministic fault mix
-  (worker crash, corrupted registry entry, toolchain loss — no slow
-  handler, so retried latency stays bounded by work, not by hangs),
-  each request retried through ``RetryPolicy`` to a final verdict;
+  (worker crash, corrupted registry entry — no slow handler, so
+  retried latency stays bounded by work, not by hangs), each request
+  retried through ``RetryPolicy`` to a final verdict;
 * ``overload`` — a concurrent burst against a deliberately tiny pool
   whose one worker is wedged: the rejection rate at admission (429)
   and the guarantee that every answer, including the rejections,
-  arrives within the deadline;
-* ``breaker``  — time from the native-tier breaker tripping to the
-  first fully healthy (undegraded) verdict after recovery.
+  arrives within the deadline.
 
 Gates, evaluated at exit:
 
@@ -52,33 +50,19 @@ from repro.pipeline.resilience import RetryPolicy  # noqa: E402
 from repro.serve import Advisor, ModelRegistry, WorkerPool, canonical_verdict  # noqa: E402
 from repro.serve.chaos import DEADLINE_GRACE_S, bootstrap_registry, suite_payloads  # noqa: E402
 
-#: ~10% total fault mass, split over the three fault kinds that cost
+#: ~10% total fault mass, split over the two fault kinds that cost
 #: work rather than wall-clock waiting.  ``slow_handler`` is excluded
 #: on purpose: it turns a request into a deadline-length hang, so its
 #: retried latency measures the configured timeout, not the service.
 FAULTED_MIX = {
-    "worker_crash": 0.034,
-    "corrupt_registry": 0.033,
-    "toolchain_loss": 0.033,
+    "worker_crash": 0.05,
+    "corrupt_registry": 0.05,
 }
 
 #: The headline gate: the p99 under ~10% faults may pay retries but
 #: must stay within 3x of the clean p99 (10 ms floor against noise on
 #: sub-millisecond clean paths).
 P99_RATIO_BAR = 3.0
-
-#: The breaker bench needs a *guarded* kernel: guard-probability
-#: estimation is the only request step that touches the native tier,
-#: so an unguarded kernel would never exercise (or trip) the breaker.
-GUARDED_KERNEL = """
-kernel bench_guarded {
-    f32 a[128], b[128];
-    for (i = 0; i < 128; i++) {
-        if (b[i] > 0.0) { a[i] = b[i]; } else { a[i] = 0.0 - b[i]; }
-    }
-}
-"""
-
 
 def percentile(values: list[float], q: float) -> float:
     if not values:
@@ -187,40 +171,6 @@ def overload_bench(registry: ModelRegistry, payload: dict) -> dict:
     }
 
 
-def breaker_recovery_bench(registry: ModelRegistry) -> dict:
-    """Trip the native breaker with injected toolchain losses, then
-    time how long the service stays demoted before the half-open probe
-    restores the healthy (undegraded) path."""
-    payload = {"kernel": GUARDED_KERNEL}
-    recovery_time = 0.3
-    advisor = Advisor(registry, failure_threshold=3, recovery_time=recovery_time)
-    baseline = advisor.advise(dict(payload))  # warm every cache off the clock
-    if any("native tier unavailable" in d for d in baseline["degraded"]):
-        # No toolchain on this host: the breaker never engages, so
-        # there is no trip-to-recovery interval to measure.
-        return {"skipped": "native tier unavailable", "recovered": True}
-    for _ in range(3):
-        advisor.advise(dict(payload), inject={"toolchain_loss"})
-    tripped_at = time.perf_counter()
-    state_after_trip = advisor.native_breaker.state
-    recovered_s = None
-    deadline = time.perf_counter() + 10.0
-    while time.perf_counter() < deadline:
-        resp = advisor.advise(dict(payload))
-        if not any("interpreter tier" in d for d in resp["degraded"]):
-            recovered_s = time.perf_counter() - tripped_at
-            break
-        time.sleep(0.02)
-    return {
-        "configured_recovery_s": recovery_time,
-        "state_after_trip": state_after_trip,
-        "recovered": recovered_s is not None,
-        "recovery_s": round(recovered_s, 4) if recovered_s else None,
-        "state_after_recovery": advisor.native_breaker.state,
-        "recoveries": advisor.native_breaker.stats()["recoveries"],
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_serving.json"))
@@ -277,7 +227,6 @@ def main(argv: list[str] | None = None) -> int:
         faulted["faults_injected"] = faults_injected
 
         overload = overload_bench(registry, requests[0][1])
-        breaker = breaker_recovery_bench(registry)
 
     p99_bar = round(P99_RATIO_BAR * max(clean["p99_s"], 0.01), 5)
     gates = {
@@ -287,7 +236,6 @@ def main(argv: list[str] | None = None) -> int:
         "overload_shed_and_bounded": overload["rejected_429"] > 0
         and overload["answered"] == overload["burst"]
         and overload["within_deadline"],
-        "breaker_recovered": breaker["recovered"],
     }
     report = {
         "schema": 1,
@@ -309,7 +257,6 @@ def main(argv: list[str] | None = None) -> int:
         "faulted_p99_bar_s": p99_bar,
         "verdict_mismatches": mismatches,
         "overload": overload,
-        "breaker": breaker,
         "gates": gates,
     }
 

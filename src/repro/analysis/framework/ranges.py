@@ -7,25 +7,21 @@ ValueTracking/ScalarEvolution facts:
 * :class:`ValueRangePass` (``ranges``) — the fixpoint interval analysis
   itself, computed twice: once seeding scalars from their declared
   initial values (true for the measurement harness) and once from their
-  dtype tops (true for *any* caller-supplied scalars).  Transforms may
-  only consume the second, "pure" result; the executors accept scalar
-  overrides, so a fold justified by an init value could silently change
-  an overridden run.
+  dtype tops (true for *any* caller-supplied scalars).  A verdict that
+  must hold for every run comes from the second, "pure" result; the
+  executor accepts scalar overrides, so a fact justified by an init
+  value need not hold for an overridden run.
 * :class:`BoundsCheckPass` (``bounds``) — per access dimension: the
-  static index range, whether it is proven inside ``[0, extent)`` (raw
-  unguarded codegen is legal), whether it at least stays in ``[-extent,
-  extent)`` (wrap-legal: negative indices alias valid elements in every
-  tier, so the access cannot fault), and — for gather/scatter — whether
+  static index range, whether it is proven inside ``[0, extent)``,
+  whether it at least stays in ``[-extent, extent)`` (wrap-legal:
+  negative indices alias valid elements, so the access cannot fault),
+  and — for gather/scatter — whether
   the proof leans on the **harness data contract**: ``make_buffers``
   fills integer arrays with ``permutation(n) % min_extent``, so index-
   array *contents* are in ``[0, min_extent)``.  Contract-contingent
-  proofs are sound for measurement buffers only; the native tier guards
-  them with a runtime contract scan before taking the unguarded body.
+  proofs are sound for measurement buffers only.
 * :class:`GuardRangePass` (``guard-range``) — guards proven always/
-  never taken (with a separate fold-safe subset whose conditions are
-  side-effect-free: no sqrt-counter, no possibly-faulting load), and
-  shift nodes whose count is proven inside the operand width so the
-  native tier can drop its guarded-shift wrappers.
+  never taken, for any scalar values or only for the declared inits.
 
 :func:`prove_safe` is the kernel-validator API built on top — it
 classifies a kernel as ``proven-safe`` / ``proven-unsafe`` / ``unknown``
@@ -33,32 +29,18 @@ classifies a kernel as ``proven-safe`` / ``proven-unsafe`` / ``unknown``
 concrete execution (address evaluation over the real iteration space
 plus the dynamic dependence sanitizer); any disagreement means one side
 is wrong and is reported as a contradiction.
-
-``REPRO_RANGES=0`` disables every codegen consumer (the analyses still
-run for reporting); see :func:`ranges_enabled`.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ...ir.expr import (
-    Affine,
-    BinOp,
-    BinOpKind,
-    Expr,
-    Indirect,
-    Load,
-    UnOp,
-    UnOpKind,
-)
+from ...ir.expr import Affine, Indirect, Load
 from ...ir.kernel import LoopKernel
 from ...ir.stmt import ArrayStore, IfBlock, Stmt
-from ...ir.types import DType
 from ..ranges import Interval, KernelRanges, affine_interval, analyze_ranges
 from .diagnostics import Remark, Severity
 from .passmanager import AnalysisManager, AnalysisPass, default_manager, register_pass
@@ -66,11 +48,6 @@ from .passes import stmt_list
 
 PASS_BOUNDS = "bounds"
 PASS_GUARD = "guard-range"
-
-
-def ranges_enabled() -> bool:
-    """Whether codegen may consume range proofs (``REPRO_RANGES`` != 0)."""
-    return os.environ.get("REPRO_RANGES", "1") != "0"
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +95,7 @@ class AccessBounds:
     lo: float
     hi: float
     extent: int
-    proven: bool  # index ∈ [0, extent): raw unguarded emission legal
+    proven: bool  # index ∈ [0, extent)
     wrap_legal: bool  # index ∈ [-extent, extent): cannot fault
     contingent: bool  # proof relies on the harness data contract
     guarded: bool  # access sits under at least one IfBlock
@@ -146,13 +123,7 @@ class BoundsInfo:
     #: contract (None when the kernel has no arrays).
     contract: Optional[tuple[int, int]]
     accesses: tuple[AccessBounds, ...]
-    #: (id(Indirect), target_array, dim) triples proven under contract.
-    _proven_indirect: frozenset = field(default_factory=frozenset)
     remarks: tuple[Remark, ...] = ()
-
-    def indirect_proven(self, ix: Indirect, array: str, dim: int) -> bool:
-        """Whether this gather/scatter dim is contract-proven in-bounds."""
-        return (id(ix), array, dim) in self._proven_indirect
 
     @property
     def gathers_total(self) -> int:
@@ -199,7 +170,6 @@ class BoundsCheckPass(AnalysisPass):
         trips = [lp.trip for lp in kernel.loops]
         contract = _harness_contract(kernel)
         verdicts: list[AccessBounds] = []
-        proven_ind: set = set()
         remarks: list[Remark] = []
 
         def classify(
@@ -262,7 +232,6 @@ class BoundsCheckPass(AnalysisPass):
                 )
             )
             if proven:
-                proven_ind.add((id(ix), array, dim))
                 remarks.append(
                     Remark(
                         severity=Severity.REMARK,
@@ -321,7 +290,6 @@ class BoundsCheckPass(AnalysisPass):
             kernel=kernel.name,
             contract=contract,
             accesses=tuple(verdicts),
-            _proven_indirect=frozenset(proven_ind),
             remarks=tuple(remarks),
         )
 
@@ -336,42 +304,9 @@ class GuardRangeInfo:
     kernel: str
     #: stmt index -> constant truth value, provable for any scalars.
     verdicts: dict[int, bool]
-    #: provable only when scalars hold their declared inits (report-only).
+    #: provable only when scalars hold their declared inits.
     init_verdicts: dict[int, bool]
-    #: id(IfBlock) -> value for the fold-safe subset (side-effect-free).
-    _fold_by_id: dict[int, bool]
-    #: id(BinOp) -> (lo, hi) of the shift count, pure fixpoint.
-    _shift_counts: dict[int, tuple[float, float]]
-    #: id(BinOp) of shift nodes whose lhs is proven nonnegative.
-    _shift_lhs_nonneg: frozenset
-    shift_total: int
     remarks: tuple[Remark, ...] = ()
-
-    def fold_of(self, stmt: IfBlock) -> Optional[bool]:
-        """Constant value to fold this guard's condition to, or None."""
-        return self._fold_by_id.get(id(stmt))
-
-    def shift_count_bounds(self, e: BinOp) -> Optional[tuple[float, float]]:
-        return self._shift_counts.get(id(e))
-
-    def shift_safe(self, e: BinOp, width: int) -> bool:
-        """Whether the guarded-shift wrapper is redundant for ``e``:
-        count proven in [0, width), and for SHL a nonnegative operand
-        (left-shifting negatives is UB in C without the wrapper)."""
-        bounds = self._shift_counts.get(id(e))
-        if bounds is None or bounds[0] < 0 or bounds[1] >= width:
-            return False
-        if e.op is BinOpKind.SHL and id(e) not in self._shift_lhs_nonneg:
-            return False
-        return True
-
-    @property
-    def shifts_proven(self) -> int:
-        return sum(
-            1
-            for lo, hi in self._shift_counts.values()
-            if lo >= 0 and hi < 32  # conservative: narrowest wrapper width
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -382,33 +317,7 @@ class GuardRangeInfo:
             "init_constant_guards": {
                 str(k): v for k, v in sorted(self.init_verdicts.items())
             },
-            "shifts_total": self.shift_total,
-            "shifts_proven": self.shifts_proven,
         }
-
-
-def _cond_side_effect_free(kernel: LoopKernel, cond: Expr, trips: list[int]) -> bool:
-    """Whether skipping ``cond``'s evaluation is observationally safe.
-
-    Folding a guard replaces the condition with a constant, so the
-    condition expression stops being evaluated.  That is only sound
-    when evaluation has no observable effect besides its value: no
-    sqrt (the domain-guard fire counter is parity-checked across
-    tiers), no gather (native counts OOB hits; a faulting index-array
-    read must keep faulting), and no affine load that could fault.
-    """
-    for node in cond.walk():
-        if isinstance(node, UnOp) and node.op is UnOpKind.SQRT:
-            return False
-        if isinstance(node, Load):
-            for d, ix in enumerate(node.subscript):
-                if not isinstance(ix, Affine):
-                    return False
-                ext = kernel.arrays[node.array].extents[d]
-                lo, hi = affine_interval(ix, trips)
-                if lo < -ext or hi >= ext:
-                    return False
-    return True
 
 
 @register_pass
@@ -417,89 +326,40 @@ class GuardRangePass(AnalysisPass):
 
     def run(self, kernel: LoopKernel, am: AnalysisManager) -> GuardRangeInfo:
         ranges: RangesResult = am.get(ValueRangePass, kernel)
-        trips = [lp.trip for lp in kernel.loops]
         verdicts: dict[int, bool] = {}
         init_verdicts: dict[int, bool] = {}
-        fold_by_id: dict[int, bool] = {}
         remarks: list[Remark] = []
-        stmts = stmt_list(kernel)
-        for idx, stmt in enumerate(stmts):
+        for idx, stmt in enumerate(stmt_list(kernel)):
             if not isinstance(stmt, IfBlock):
                 continue
             pure = ranges.pure.eval(stmt.cond, idx)
             if pure.definitely_true() or pure.definitely_false():
                 value = pure.definitely_true()
                 verdicts[idx] = value
-                if _cond_side_effect_free(kernel, stmt.cond, trips):
-                    fold_by_id[id(stmt)] = value
-                    remarks.append(
-                        Remark(
-                            severity=Severity.REMARK,
-                            pass_name=PASS_GUARD,
-                            kernel=kernel.name,
-                            message=(
-                                f"guard at S{idx} proven always "
-                                f"{'true' if value else 'false'}; compiled "
-                                "tiers fold the condition to a constant"
-                            ),
-                            stmt_index=idx,
-                            stmt=str(stmt.cond),
-                            args=(("value", str(value).lower()), ("folded", "true")),
-                        )
+                remarks.append(
+                    Remark(
+                        severity=Severity.REMARK,
+                        pass_name=PASS_GUARD,
+                        kernel=kernel.name,
+                        message=(
+                            f"guard at S{idx} proven always "
+                            f"{'true' if value else 'false'}"
+                        ),
+                        stmt_index=idx,
+                        stmt=str(stmt.cond),
+                        args=(("value", str(value).lower()),),
                     )
+                )
                 continue
             har = ranges.harness.eval(stmt.cond, idx)
             if har.definitely_true() or har.definitely_false():
-                # Holds for the declared scalar inits only — reported,
-                # never folded (callers may override scalar values).
+                # Holds for the declared scalar inits only (callers may
+                # override scalar values).
                 init_verdicts[idx] = har.definitely_true()
-
-        shift_counts: dict[int, tuple[float, float]] = {}
-        lhs_nonneg: set[int] = set()
-        shift_total = 0
-        for idx, stmt in enumerate(stmts):
-            for root in stmt.exprs():
-                for node in root.walk():
-                    if isinstance(node, BinOp) and node.op in (
-                        BinOpKind.SHL,
-                        BinOpKind.SHR,
-                    ):
-                        shift_total += 1
-                        cnt = ranges.pure.eval(node.rhs, idx)
-                        shift_counts[id(node)] = (cnt.lo, cnt.hi)
-                        lhs = ranges.pure.eval(node.lhs, idx)
-                        if lhs.lo >= 0:
-                            lhs_nonneg.add(id(node))
-                        width = 64 if node.dtype is DType.I64 else 32
-                        if 0 <= cnt.lo and cnt.hi < width:
-                            remarks.append(
-                                Remark(
-                                    severity=Severity.REMARK,
-                                    pass_name=PASS_GUARD,
-                                    kernel=kernel.name,
-                                    message=(
-                                        f"shift count at S{idx} proven in "
-                                        f"[{int(cnt.lo)}, {int(cnt.hi)}] ⊂ "
-                                        f"[0, {width}): guarded-shift wrapper "
-                                        "is redundant"
-                                    ),
-                                    stmt_index=idx,
-                                    stmt=str(node),
-                                    args=(
-                                        ("lo", str(int(cnt.lo))),
-                                        ("hi", str(int(cnt.hi))),
-                                        ("width", str(width)),
-                                    ),
-                                )
-                            )
         return GuardRangeInfo(
             kernel=kernel.name,
             verdicts=verdicts,
             init_verdicts=init_verdicts,
-            _fold_by_id=fold_by_id,
-            _shift_counts=shift_counts,
-            _shift_lhs_nonneg=frozenset(lhs_nonneg),
-            shift_total=shift_total,
             remarks=tuple(remarks),
         )
 
@@ -755,5 +615,4 @@ __all__ = [
     "ValueRangePass",
     "crosscheck_kernel",
     "prove_safe",
-    "ranges_enabled",
 ]

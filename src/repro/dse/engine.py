@@ -31,7 +31,7 @@ import numpy as np
 from ..ir.kernel import LoopKernel
 from ..pipeline import faultinject
 from ..pipeline.faultinject import FaultPlan, InjectedFault
-from ..sim.compile import kernel_fingerprint
+from ..pipeline.fingerprint import kernel_fingerprint
 from ..targets.base import Target
 from ..vectorize.plan import enumerate_plan_points
 from . import oracle, points as points_mod, search

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from ..pipeline import configure, default_cache
@@ -139,18 +138,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="print cache hit/miss statistics after the run",
     )
-    pipe.add_argument(
-        "--no-native",
-        action="store_true",
-        help="disable the native compiled tier (sets REPRO_NATIVE=0; "
-        "kernels run through the NumPy/codegen tiers instead)",
-    )
-    pipe.add_argument(
-        "--compile-stats",
-        action="store_true",
-        help="print kernel-compiler statistics (vector/scalar split, "
-        "demotions, cache hit rate) after the run",
-    )
     fault = parser.add_argument_group("fault tolerance")
     fault.add_argument(
         "--timeout",
@@ -204,18 +191,9 @@ def main(argv: list[str] | None = None) -> int:
         from ..pipeline import default_checkpoint_dir
 
         configure(checkpoint_dir=str(default_checkpoint_dir()))
-    if args.no_native:
-        os.environ["REPRO_NATIVE"] = "0"
-        from ..sim import reset_native_state
-
-        reset_native_state()
     if args.clear_cache:
         removed = default_cache().clear()
         print(f"[cache] cleared {removed} entries from {default_cache().root}")
-        from ..sim import clear_native_artifacts, native_cache_dir
-
-        purged = clear_native_artifacts()
-        print(f"[cache] cleared {purged} native artifacts from {native_cache_dir()}")
 
     from .scheduler import bench_suite, run_suite
 
@@ -240,14 +218,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     if args.cache_stats:
         print(f"[{default_cache().stats}]")
-    if args.compile_stats:
-        from ..sim import compile_summary
-
-        summary = compile_summary()
-        print(
-            "[compile] "
-            + ", ".join(f"{k}={v}" for k, v in summary.items())
-        )
     return 0
 
 

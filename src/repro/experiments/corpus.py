@@ -337,9 +337,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         f"{len(result.failures)} not vectorizable, "
         f"{len(result.quarantined_names)} quarantined in {sweep_s:.1f}s"
     )
-    prebuilt = sum(st.native_prebuilt for st in result.shard_stats)
-    if prebuilt:
-        print(f"[corpus] native batch prebuild covered {prebuilt} kernels")
     summary = {
         "spec": spec.label,
         "size": args.size,
@@ -348,7 +345,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         "not_vectorizable": len(result.failures),
         "quarantined": result.quarantined_names,
         "sweep_s": round(sweep_s, 3),
-        "native_prebuilt": prebuilt,
     }
     status = 1 if result.quarantined_names else 0
     if args.publish or args.json_out:

@@ -2,7 +2,7 @@
 
 from .base import FitError, Regressor, check_Xy, residual_norm
 from .l2 import LeastSquares
-from .nnls import KKT_TOL, NonNegativeLeastSquares, nnls_warm_start
+from .nnls import NonNegativeLeastSquares
 from .svr import (
     CERT_REL_GAP,
     LinearSVR,
@@ -32,8 +32,6 @@ __all__ = [
     "residual_norm",
     "LeastSquares",
     "NonNegativeLeastSquares",
-    "KKT_TOL",
-    "nnls_warm_start",
     "LinearSVR",
     "CERT_REL_GAP",
     "SVRWarmStats",

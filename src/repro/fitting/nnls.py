@@ -14,73 +14,6 @@ import scipy.optimize
 from .base import FitError, check_Xy
 
 
-#: KKT slack for certifying a warm-started solution as the NNLS
-#: optimum; scaled by the data magnitude before use.
-KKT_TOL = 1e-8
-
-
-def nnls_warm_start(
-    X: np.ndarray,
-    y: np.ndarray,
-    support: np.ndarray,
-    *,
-    tol: float = KKT_TOL,
-    validate: bool = True,
-) -> np.ndarray | None:
-    """Solve min ||Xw − y||₂ s.t. w ≥ 0, guessing the active set.
-
-    ``support`` holds the indices believed nonzero (typically the
-    positive coefficients of a previous full fit).  The unconstrained
-    least-squares problem restricted to those columns is solved once,
-    then certified against the NNLS KKT conditions:
-
-    * primal feasibility: ``w[support] ≥ −tol`` (clipped to 0 after),
-    * dual feasibility: ``X_jᵀ(Xw − y) ≥ −tol`` for every j ∉ support.
-
-    Returns the full-length coefficient vector when the certificate
-    holds, else ``None`` so the caller can fall back to a cold
-    Lawson–Hanson solve.  A correct guess collapses the active-set
-    search to one ``lstsq`` — deleting a single row rarely changes the
-    active set, which is what makes the LOOCV refit loop cheap.
-
-    ``validate=False`` skips the ``check_Xy`` coercion for callers that
-    already hold validated float64 arrays (the LOOCV fold loop passes
-    row-masked views of a checked matrix; re-checking every fold costs
-    more than the restricted solve).
-    """
-    if validate:
-        X, y = check_Xy(X, y)
-    support = np.unique(np.asarray(support, dtype=np.intp))
-    if support.size and (support[0] < 0 or support[-1] >= X.shape[1]):
-        raise FitError(f"support out of range for {X.shape[1]} columns")
-    scale = max(1.0, float(np.abs(X).max()) * max(1.0, float(np.abs(y).max())))
-    slack = tol * scale
-    w = np.zeros(X.shape[1])
-    if support.size:
-        Xs = X[:, support]
-        try:
-            # Normal equations + Cholesky: the restricted problem has
-            # only |support| columns, so this is ~10× cheaper than the
-            # SVD-based lstsq and the KKT certificate below still
-            # validates the result.  Singular Gram (rank-deficient
-            # support) falls back to the minimum-norm lstsq solve.
-            try:
-                ws = np.linalg.solve(Xs.T @ Xs, Xs.T @ y)
-            except np.linalg.LinAlgError:
-                ws, *_ = np.linalg.lstsq(Xs, y, rcond=None)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(ws)) or np.any(ws < -slack):
-            return None
-        w[support] = np.maximum(ws, 0.0)
-    grad = X.T @ (X @ w - y)
-    off = np.ones(X.shape[1], dtype=bool)
-    off[support] = False
-    if np.any(grad[off] < -slack):
-        return None
-    return w
-
-
 class NonNegativeLeastSquares:
     """min_w ||X w − y||₂  s.t.  w ≥ 0 (Lawson–Hanson via SciPy)."""
 

@@ -12,10 +12,9 @@ non-negative variant for free, matching how NNLS is used.
 
 The module also provides the warm-started LOOCV solver
 (:func:`svr_warm_loocv`): every fold's L-BFGS-B run is seeded from a
-polished full fit and certified via strong convexity, mirroring the
-NNLS warm-start contract (:func:`repro.fitting.nnls.nnls_warm_start`) —
-a fold either proves its solution optimal or reports failure so the
-caller can refit it cold.
+polished full fit and certified via strong convexity — a fold either
+proves its solution optimal or reports failure so the caller can refit
+it cold.
 """
 
 from __future__ import annotations

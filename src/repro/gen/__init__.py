@@ -1,4 +1,4 @@
-"""Property-based kernel generation (see DESIGN.md §15).
+"""Property-based kernel generation (see DESIGN.md §14).
 
 ``repro.gen`` owns the synthetic side of the corpus: deterministic
 name→kernel generation over the TSVC category taxonomy

@@ -50,6 +50,7 @@ from .cache import (
 from .fingerprint import (
     PIPELINE_SCHEMA_VERSION,
     code_digest,
+    kernel_fingerprint,
     measurement_fingerprint,
 )
 
@@ -88,5 +89,6 @@ __all__ = [
     "set_default_cache",
     "PIPELINE_SCHEMA_VERSION",
     "code_digest",
+    "kernel_fingerprint",
     "measurement_fingerprint",
 ]

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
 from ..analysis.framework.diagnostics import Severity
@@ -200,47 +200,6 @@ class DatasetBuildStats:
     estimated_work: float = 0.0
     reason: str = ""
     supervised: bool = True
-    #: Executor-tier counts observed during this sweep (main process
-    #: only — pool workers compile in their own address space):
-    #: ``{"native": …, "vector": …, "scalar": …, "native_demoted": …,
-    #: "demoted": …}``.  Empty when nothing was measured in-process.
-    tiers: dict = field(default_factory=dict)
-    #: Seconds spent building native ``.so`` artifacts during the sweep.
-    compile_build_s: float = 0.0
-    #: Kernels whose native artifacts were built by the batched
-    #: pre-build (N kernels per ``cc`` invocation) before dispatch.
-    native_prebuilt: int = 0
-
-
-#: compile_summary keys folded into :attr:`DatasetBuildStats.tiers`
-#: (summary key -> tier label).
-_TIER_KEYS = {
-    "kernels_native": "native",
-    "kernels_vector": "vector",
-    "kernels_scalar": "scalar",
-    "kernels_native_demoted": "native_demoted",
-    "kernels_demoted": "demoted",
-    "kernels_refused": "interpreted",
-}
-
-
-def _tier_snapshot() -> dict:
-    """Current process-wide compile-tier counters (plus build seconds)."""
-    from ..sim.compile import compile_summary
-
-    s = compile_summary()
-    snap = {label: int(s.get(key, 0)) for key, label in _TIER_KEYS.items()}
-    snap["native_build_s"] = float(s.get("native_build_s", 0.0))
-    return snap
-
-
-def _tier_delta(before: dict, after: dict) -> dict:
-    delta = {k: after.get(k, 0) - before.get(k, 0) for k in after}
-    delta["native_build_s"] = round(
-        max(0.0, after.get("native_build_s", 0.0) - before.get("native_build_s", 0.0)),
-        4,
-    )
-    return delta
 
 
 @dataclass(frozen=True)
@@ -256,10 +215,8 @@ def estimate_kernel_work(kernel, *, sweep_points: int = 1) -> float:
     """Estimated cost of one cache-miss measurement, in ~µs of serial time.
 
     The analytic timing model is near-constant; the dominant variable
-    cost is guard-probability estimation, which executes the kernel for
-    up to ``GUARD_SAMPLE_ITERS`` inner iterations — through the kernel
-    compiler when enabled, through the tree-walking interpreter when
-    ``REPRO_COMPILE=0``.
+    cost is guard-probability estimation, which interprets the kernel
+    for up to ``GUARD_SAMPLE_ITERS`` inner iterations.
 
     ``sweep_points`` models a DSE-style plan sweep over the kernel:
     beyond the first (already-counted) measurement, each extra plan
@@ -270,9 +227,7 @@ def estimate_kernel_work(kernel, *, sweep_points: int = 1) -> float:
     hosts on serial loops — for DSE measurement batches.
     """
     from ..ir.stmt import IfBlock
-    from ..sim.compile import compile_enabled
     from ..sim.measure import GUARD_SAMPLE_ITERS
-    from ..sim.native import native_available
 
     stmts = max(1, sum(1 for _ in kernel.stmts()))
     work = 2000.0 + 50.0 * stmts
@@ -283,23 +238,7 @@ def estimate_kernel_work(kernel, *, sweep_points: int = 1) -> float:
             if kernel.depth == 1
             else min(kernel.loops[0].trip, max(1, GUARD_SAMPLE_ITERS // 4))
         )
-        if compile_enabled() and native_available():
-            # cc invocation + self-check dominate; the per-iteration
-            # cost of a native run is near-free.  This moves the
-            # serial/pool break-even: a mostly-guarded suite that
-            # justified a pool on the NumPy tier often no longer does.
-            # Batched pre-builds amortize the cc invocation over
-            # ``native_batch_size()`` kernels, so a corpus-cold sweep
-            # no longer looks serially cheap when a pool would win
-            # (REPRO_NATIVE_BATCH=1 restores the per-kernel estimate).
-            from ..sim.native import native_batch_size
-
-            work += 3000.0 / native_batch_size() + 0.002 * stmts * inner * outer
-        elif compile_enabled():
-            # One-time compile + self-check, then a cheap compiled run.
-            work += 5000.0 + 0.02 * stmts * inner * outer
-        else:
-            work += 2.0 * stmts * inner * outer
+        work += 2.0 * stmts * inner * outer
     if sweep_points > 1:
         work += (sweep_points - 1) * (400.0 + 30.0 * stmts)
     return work
@@ -316,10 +255,9 @@ def choose_strategy(
 
     A pool only pays off when the work it can take off the main process
     exceeds what spawning the workers costs — never true on a 1-CPU
-    host, and rarely true for a compiled-executor sweep.  Two features
-    force the pool regardless: an active fault plan (injected faults
-    must land in real worker processes) and a per-kernel timeout (only
-    a worker process can be killed mid-kernel).
+    host.  Two features force the pool regardless: an active fault plan
+    (injected faults must land in real worker processes) and a
+    per-kernel timeout (only a worker process can be killed mid-kernel).
     """
     total = float(sum(work))
     tasks = len(work)
@@ -368,19 +306,17 @@ def static_prepass(kernels) -> None:
     """Verify + lint + range-check every kernel before measurement.
 
     Structural problems and lint *errors* are fatal — a malformed
-    kernel must never reach the measurement cache.  When range proofs
-    are live (``REPRO_RANGES`` != 0) a kernel the abstract interpreter
-    classifies ``proven-unsafe`` — an unguarded access whose exact
-    static index range leaves the wrap-legal window, so a full run
-    must fault — is rejected here too, before any executor tier gets
-    to segfault on it.  Results are memoized (per kernel object, with
-    the framework's analysis results shared) so repeated sweeps over
-    the cached suite stay cheap.
+    kernel must never reach the measurement cache.  A kernel the
+    abstract interpreter classifies ``proven-unsafe`` — an unguarded
+    access whose exact static index range leaves the wrap-legal
+    window, so a full run must fault — is rejected here too, before
+    the executor runs it.  Results are memoized (per kernel object,
+    with the framework's analysis results shared) so repeated sweeps
+    over the cached suite stay cheap.
     """
-    from ..analysis.framework.ranges import prove_safe, ranges_enabled
+    from ..analysis.framework.ranges import prove_safe
 
     am = default_manager()
-    check_ranges = ranges_enabled()
     for kern in kernels:
         if _PREPASS_SEEN.get(id(kern)) is kern:
             continue
@@ -392,14 +328,13 @@ def static_prepass(kernels) -> None:
             raise VerificationError(
                 "; ".join(r.message for r in errors), kern.name
             )
-        if check_ranges:
-            safety = prove_safe(kern, am)
-            if safety.classification == "proven-unsafe":
-                raise VerificationError(
-                    "range analysis proves an out-of-bounds access: "
-                    + "; ".join(safety.reasons),
-                    kern.name,
-                )
+        safety = prove_safe(kern, am)
+        if safety.classification == "proven-unsafe":
+            raise VerificationError(
+                "range analysis proves an out-of-bounds access: "
+                + "; ".join(safety.reasons),
+                kern.name,
+            )
         _PREPASS_SEEN[id(kern)] = kern
 
 
@@ -558,13 +493,9 @@ def measure_suite(
         stats.measured = len(pending)
         stats.supervised = supervise
         stats.strategy, stats.workers, stats.chunksize = "none", 1, 1
-        tiers_before = _tier_snapshot()
     if pending:
         workers = resolve_workers(workers, pending=len(pending))
         by_name = {k.name: k for k in kernels}
-        prebuilt = _prebuild_pending(by_name, pending)
-        if stats is not None:
-            stats.native_prebuilt = prebuilt
         faults_active = faults is not None and any(
             float(r) > 0 for r in faults.rates.values()
         )
@@ -611,11 +542,6 @@ def measure_suite(
             ):
                 on_complete(name, payload)
 
-    if stats is not None:
-        delta = _tier_delta(tiers_before, _tier_snapshot())
-        stats.compile_build_s = delta.pop("native_build_s", 0.0)
-        stats.tiers = {k: v for k, v in delta.items() if v}
-
     if report.quarantined and not partial:
         raise SweepError(report)
     if journal is not None and not report.quarantined:
@@ -634,39 +560,6 @@ def measure_suite(
     if partial:
         return samples, failures, report
     return samples, failures
-
-
-def _prebuild_pending(by_name: dict, pending: list) -> int:
-    """Batch-build native artifacts for the pending guarded kernels.
-
-    Guard-probability estimation is the only stage of a sweep that
-    *executes* kernels, and it only runs for guarded ones — so those
-    are the kernels whose native artifacts are worth warming.  Building
-    them here, in the main process and ``native_batch_size()`` kernels
-    per ``cc`` invocation, means pool workers (and the serial path)
-    attach finished artifacts from the shared on-disk cache instead of
-    each paying a one-kernel compile.  Returns the number of artifacts
-    built now (0 when batching or the native tier is unavailable).
-    """
-    from ..ir.stmt import IfBlock
-    from ..sim.compile import compile_enabled
-    from ..sim.native import native_batch_size, prebuild_native
-
-    if not compile_enabled() or native_batch_size() <= 1:
-        return 0
-    guarded = [
-        by_name[n]
-        for n in pending
-        if any(isinstance(s, IfBlock) for s in by_name[n].stmts())
-    ]
-    if not guarded:
-        return 0
-    statuses = prebuild_native(guarded)
-    return sum(
-        1
-        for v in statuses.values()
-        if v in ("exact", "tolerance", "mismatch")
-    )
 
 
 def _resolve_journal(

@@ -6,11 +6,15 @@ the jitter/seed pair, and the measurement code itself.  The fingerprint
 folds all of those into one SHA-256 digest, so any drift — a retuned
 timing table, an edited kernel, a different noise seed — lands in a
 different cache slot instead of resurrecting a stale number.
+
+:func:`kernel_fingerprint` is the narrower digest of one kernel's
+content alone; the plan-space search memo keys on it.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import OrderedDict
 from pathlib import Path
 
 from ..ir.kernel import LoopKernel
@@ -21,6 +25,11 @@ from ..ir.printer import kernel_to_source
 PIPELINE_SCHEMA_VERSION = 1
 
 _CODE_DIGEST: str | None = None
+
+#: kernel_fingerprint memo, keyed by id(kernel); the kernel object is
+#: stored in the value to pin its id while the entry is alive.
+_FP_MEMO: "OrderedDict[int, tuple[LoopKernel, str]]" = OrderedDict()
+_FP_MEMO_MAX = 1024
 
 
 def code_digest() -> str:
@@ -71,3 +80,19 @@ def measurement_fingerprint(
         ]
     )
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def kernel_fingerprint(kernel: LoopKernel) -> str:
+    """Content digest of a kernel (name + printed source), memoized."""
+    key = id(kernel)
+    hit = _FP_MEMO.get(key)
+    if hit is not None and hit[0] is kernel:
+        _FP_MEMO.move_to_end(key)
+        return hit[1]
+    digest = hashlib.sha256(
+        (kernel.name + "\n" + kernel_to_source(kernel)).encode()
+    ).hexdigest()
+    _FP_MEMO[key] = (kernel, digest)
+    while len(_FP_MEMO) > _FP_MEMO_MAX:
+        _FP_MEMO.popitem(last=False)
+    return digest

@@ -3,8 +3,8 @@
 A long-lived, stdlib-only HTTP service answering "should this loop be
 vectorized, and what speedup should I expect?" from the fitted cost
 models — with a versioned model registry, per-request deadlines,
-bounded-queue backpressure, circuit breakers around the fallible
-tiers, and a deterministic chaos gate proving that none of that
+bounded-queue backpressure, a circuit breaker around the analysis
+prepass, and a deterministic chaos gate proving that none of that
 machinery can change a verdict.
 """
 

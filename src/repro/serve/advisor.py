@@ -13,7 +13,7 @@ Robustness contract:
 
 * the **verdict core** (kernel, target, vectorizer, VF, vectorized
   flag, predicted/reference speedups, model version) is a pure
-  function of the request and the published weights — degraded tiers
+  function of the request and the published weights — degraded modes
   reproduce it bit-exactly, which is what the chaos gate checks;
 * the ``plan`` field — the published model's best
   :class:`~repro.vectorize.plan.PlanPoint` over the kernel's
@@ -24,9 +24,8 @@ Robustness contract:
   the verdict;
 * everything that may legitimately differ under degradation (remarks,
   the ``degraded`` list, timings) lives *outside* the core;
-* the native tier and the analysis prepass sit behind circuit
-  breakers; a tripped breaker demotes to the interpreter tier or
-  skips the prepass with a single consolidated
+* the analysis prepass sits behind a circuit breaker; a tripped
+  breaker skips the prepass with a single consolidated
   ``-Rpass-missed=serve`` remark, never an exception;
 * client errors (unparsable kernel, unknown target, lint-rejected
   body) raise :class:`InvalidRequest` — they are *answers*, not
@@ -37,27 +36,18 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..analysis.framework.diagnostics import Diagnostics, Severity
 from ..analysis.framework.lint import lint_kernel
 from ..analysis.framework.passmanager import default_manager
-from ..analysis.framework.ranges import prove_safe, ranges_enabled
+from ..analysis.framework.ranges import prove_safe
 from ..costmodel import matrix
 from ..costmodel.base import sample_from_measurement
 from ..costmodel.llvm_like import LLVMLikeCostModel
 from ..frontend import LexError, ParseError, parse_kernel
 from ..ir.kernel import LoopKernel
-from ..ir.stmt import IfBlock
 from ..ir.verify import VerificationError, verify_kernel
-from ..sim import (
-    GUARD_SAMPLE_ITERS,
-    estimate_guard_probs,
-    make_buffers,
-    native_available,
-    native_enabled,
-    run_scalar_interpreted,
-)
 from ..sim.measure import measure_kernel
 from ..targets.registry import available_targets, get_target
 from ..vectorize.plan import VectorizationFailure
@@ -168,7 +158,7 @@ class Advisor:
     """Stateless-per-request verdict engine with stateful protection.
 
     One instance is shared by every worker thread: the registry, the
-    two breakers, and the counters are the only mutable state, each
+    prepass breaker, and the counters are the only mutable state, each
     individually thread-safe.
     """
 
@@ -181,12 +171,6 @@ class Advisor:
         clock=None,
     ):
         self.registry = registry if registry is not None else ModelRegistry()
-        self.native_breaker = CircuitBreaker(
-            "native",
-            failure_threshold=failure_threshold,
-            recovery_time=recovery_time,
-            clock=clock,
-        )
         self.prepass_breaker = CircuitBreaker(
             "prepass",
             failure_threshold=failure_threshold,
@@ -199,18 +183,9 @@ class Advisor:
 
     # -- request path -------------------------------------------------------
 
-    def advise(
-        self, payload: dict, *, inject: Iterable[str] = ()
-    ) -> dict:
-        """Answer one request; raises only :class:`AdvisorError`.
-
-        ``inject`` carries request-scoped fault kinds the worker layer
-        decided should fire for this request (currently only
-        ``toolchain_loss`` is interpreted here — it makes the native
-        probe fail mid-flight, exercising the breaker).
-        """
+    def advise(self, payload: dict) -> dict:
+        """Answer one request; raises only :class:`AdvisorError`."""
         self.stats.bump("requests")
-        inject = frozenset(inject)
         kernel = kernel_from_payload(payload)
         target = self._resolve_target(payload)
         vectorizer = self._resolve_vectorizer(payload)
@@ -227,16 +202,8 @@ class Advisor:
         degraded: list[str] = []
 
         self._prepass(kernel, degraded)
-        guard_probs = self._guard_probs(kernel, inject, degraded)
-
         measured = measure_kernel(
-            kernel,
-            target,
-            vf,
-            vectorizer=vectorizer,
-            jitter=0.0,
-            seed=0,
-            guard_probs=guard_probs,
+            kernel, target, vf, vectorizer=vectorizer, jitter=0.0, seed=0
         )
 
         if isinstance(measured, VectorizationFailure):
@@ -285,8 +252,6 @@ class Advisor:
                 "plan": self._plan_hint(kernel, target, entry),
             }
 
-        if not ranges_enabled():
-            degraded.append("range proofs disabled")
         if degraded:
             # One consolidated remark per request, however many
             # dimensions are degraded — clients grep for exactly one
@@ -348,14 +313,13 @@ class Advisor:
                     "kernel rejected by lint: "
                     + "; ".join(r.message for r in errors)
                 )
-            if ranges_enabled():
-                safety = prove_safe(kernel, self._am)
-                if safety.classification == "proven-unsafe":
-                    self.prepass_breaker.record_success()
-                    raise InvalidRequest(
-                        "range analysis proves an out-of-bounds access: "
-                        + "; ".join(safety.reasons)
-                    )
+            safety = prove_safe(kernel, self._am)
+            if safety.classification == "proven-unsafe":
+                self.prepass_breaker.record_success()
+                raise InvalidRequest(
+                    "range analysis proves an out-of-bounds access: "
+                    + "; ".join(safety.reasons)
+                )
         except VerificationError as exc:
             self.prepass_breaker.record_success()
             raise InvalidRequest(f"kernel fails verification: {exc}") from exc
@@ -398,56 +362,12 @@ class Advisor:
         except Exception:
             return None
 
-    def _guard_probs(
-        self,
-        kernel: LoopKernel,
-        inject: frozenset,
-        degraded: list[str],
-    ) -> dict[int, float]:
-        """Branch probabilities via the best tier the breaker allows.
-
-        The compiled/native and interpreter tiers agree bit-exactly on
-        guard probabilities (the PR-6 contract: non-identical native
-        kernels auto-demote), so demotion here changes latency, never
-        the verdict.
-        """
-        if not any(isinstance(s, IfBlock) for s in kernel.stmts()):
-            # No guards: nothing to estimate, no tier engaged.
-            return {}
-        demote = None
-        if "toolchain_loss" in inject:
-            # Mid-flight toolchain loss: the native probe fails.
-            if self.native_breaker.allow():
-                self.native_breaker.record_failure()
-            demote = "toolchain lost mid-flight"
-        elif not (native_enabled() and native_available()):
-            demote = "native tier unavailable"
-        elif not self.native_breaker.allow():
-            demote = "native tier breaker open"
-        if demote is None:
-            try:
-                probs = estimate_guard_probs(kernel, seed=0)
-                self.native_breaker.record_success()
-                return probs
-            except Exception:
-                self.native_breaker.record_failure()
-                demote = "native tier faulted"
-        degraded.append(f"demoted to interpreter tier ({demote})")
-        bufs = make_buffers(kernel, seed=0)
-        result = run_scalar_interpreted(
-            kernel, bufs, max_inner_iters=GUARD_SAMPLE_ITERS
-        )
-        return dict(result.guard_probs)
-
     # -- introspection ------------------------------------------------------
 
     def health(self) -> dict:
         return {
             "status": "ok",
-            "breakers": [
-                self.native_breaker.stats(),
-                self.prepass_breaker.stats(),
-            ],
+            "breakers": [self.prepass_breaker.stats()],
             "registry": self.registry.stats.as_dict(),
             "advisor": self.stats.as_dict(),
         }

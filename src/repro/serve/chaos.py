@@ -3,9 +3,8 @@
 The harness runs one request set twice through a real advisor + worker
 pool — once clean, once under a deterministic
 :class:`~repro.pipeline.faultinject.FaultPlan` firing request-scoped
-faults (slow handler, worker crash, corrupted registry entry,
-toolchain loss mid-flight) — and asserts the service's three load-
-bearing promises:
+faults (slow handler, worker crash, corrupted registry entry) — and
+asserts the service's three load-bearing promises:
 
 * **no request lost** — every request, retried through
   ``pipeline.resilience.RetryPolicy`` on 429/503, ends in a verdict;
@@ -54,10 +53,7 @@ DEADLINE_GRACE_S = 0.75
 
 #: The pinned CI schedule: every serve fault kind at a rate that fires
 #: several times across a ~24-request run yet drains under retries.
-DEFAULT_FAULT_SPEC = (
-    "slow_handler:0.08,worker_crash:0.08,corrupt_registry:0.06,"
-    "toolchain_loss:0.08"
-)
+DEFAULT_FAULT_SPEC = "slow_handler:0.08,worker_crash:0.08,corrupt_registry:0.06"
 
 
 def suite_payloads(

@@ -4,8 +4,7 @@ The advisor service must never serve a verdict from weights it cannot
 trust.  This registry stores fitted speedup-model weights as JSON
 entries versioned by *(dataset fingerprint, featurization key, target,
 vectorizer, regressor)* — the exact provenance that decides what a
-weight vector means — under the same durability contract as the native
-artifact cache (``sim/native.py``):
+weight vector means — under one durability contract:
 
 * **atomic installs** — entries are written to a tmp file and landed
   with ``os.replace``; the sha256 sidecar is written only after the

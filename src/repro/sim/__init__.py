@@ -9,37 +9,6 @@ from .executor import (
     run_scalar_interpreted,
     run_vector,
 )
-from .compile import (
-    CompileError,
-    CompiledKernel,
-    bit_identical,
-    clear_compile_cache,
-    compile_enabled,
-    compile_stats,
-    compile_summary,
-    get_compiled,
-    kernel_fingerprint,
-    reset_compile_stats,
-    run_scalar_compiled,
-)
-from .native import (
-    NativeError,
-    NativeUnsupported,
-    clear_native_artifacts,
-    native_available,
-    native_batch_size,
-    native_cache_dir,
-    native_enabled,
-    prebuild_native,
-    reset_native_state,
-)
-from .toolchain import (
-    Toolchain,
-    ToolchainError,
-    find_toolchain,
-    reset_toolchain_memo,
-    toolchain_failure,
-)
 from .timing import (
     CycleBreakdown,
     analyze_stream,
@@ -66,31 +35,6 @@ __all__ = [
     "run_scalar",
     "run_scalar_interpreted",
     "run_vector",
-    "CompileError",
-    "CompiledKernel",
-    "bit_identical",
-    "clear_compile_cache",
-    "compile_enabled",
-    "compile_stats",
-    "compile_summary",
-    "get_compiled",
-    "kernel_fingerprint",
-    "reset_compile_stats",
-    "run_scalar_compiled",
-    "NativeError",
-    "NativeUnsupported",
-    "clear_native_artifacts",
-    "native_available",
-    "native_batch_size",
-    "native_cache_dir",
-    "native_enabled",
-    "prebuild_native",
-    "reset_native_state",
-    "Toolchain",
-    "ToolchainError",
-    "find_toolchain",
-    "reset_toolchain_memo",
-    "toolchain_failure",
     "CycleBreakdown",
     "analyze_stream",
     "memory_bound",

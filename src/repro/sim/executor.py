@@ -125,18 +125,18 @@ def eval_expr(expr: Expr, ctx: _Ctx):
         return _cast(eval_expr(expr.operand, ctx), expr.dtype)
     if isinstance(expr, UnOp):
         x = eval_expr(expr.operand, ctx)
-        return _UNOPS[expr.op](x)
+        return UNOPS[expr.op](x)
     if isinstance(expr, BinOp):
         a = eval_expr(expr.lhs, ctx)
         b = eval_expr(expr.rhs, ctx)
         if expr.op not in (BinOpKind.SHL, BinOpKind.SHR):
             a = _cast(a, expr.dtype)
             b = _cast(b, expr.dtype)
-        return _cast(_BINOPS[expr.op](a, b), expr.dtype)
+        return _cast(BINOPS[expr.op](a, b), expr.dtype)
     if isinstance(expr, Compare):
         a = eval_expr(expr.lhs, ctx)
         b = eval_expr(expr.rhs, ctx)
-        return _CMPS[expr.op](a, b)
+        return CMPS[expr.op](a, b)
     if isinstance(expr, Select):
         c = eval_expr(expr.cond, ctx)
         t = _cast(eval_expr(expr.if_true, ctx), expr.dtype)
@@ -148,13 +148,6 @@ def eval_expr(expr: Expr, ctx: _Ctx):
 
 def _cast(x, dtype: DType):
     return cast_value(x, NP_DTYPE[dtype])
-
-
-# One shared operator table (see repro.sim.ufuncs): the interpreter and
-# the kernel compiler must agree bit-for-bit, so neither owns a copy.
-_BINOPS = BINOPS
-_UNOPS = UNOPS
-_CMPS = CMPS
 
 
 # ---------------------------------------------------------------------------
@@ -196,29 +189,13 @@ def run_scalar(
 ) -> ExecResult:
     """Execute the kernel with C scalar semantics, mutating ``bufs``.
 
-    The hot-path entry point: routes through the kernel compiler
-    (:mod:`.compile`) unless ``REPRO_COMPILE=0``, falling back to the
-    tree-walking interpreter — the correctness oracle, pinned to the
-    compiled path by the suite-wide bit-identity tests — when
-    compilation is disabled or refuses the kernel.  ``max_inner_iters``
-    truncates the inner trip count (used for cheap branch-probability
-    estimation).
+    Interprets the kernel (:func:`run_scalar_interpreted`) and emits a
+    diagnostics remark when the sqrt domain guard rewrote a negative
+    input.  ``max_inner_iters`` truncates the inner trip count (used
+    for cheap branch-probability estimation).
     """
     fires_before = ufuncs.sqrt_guard_fires()
-    result = None
-    if os.environ.get("REPRO_COMPILE", "1") != "0":
-        from .compile import CompileError, run_scalar_compiled
-
-        try:
-            result = run_scalar_compiled(kernel, bufs, scalars, max_inner_iters)
-        except CompileError as exc:
-            _remark(
-                kernel,
-                f"kernel not compilable ({exc}); interpreting",
-                warning=True,
-            )
-    if result is None:
-        result = run_scalar_interpreted(kernel, bufs, scalars, max_inner_iters)
+    result = run_scalar_interpreted(kernel, bufs, scalars, max_inner_iters)
     if ufuncs.sqrt_guard_fires() > fires_before:
         _remark(
             kernel,
@@ -227,11 +204,10 @@ def run_scalar(
     return result
 
 
-def _remark(kernel: LoopKernel, message: str, warning: bool = False) -> None:
+def _remark(kernel: LoopKernel, message: str) -> None:
     from ..analysis.framework.passmanager import default_manager
 
-    diags = default_manager().diagnostics
-    (diags.warning if warning else diags.remark)("executor", kernel.name, message)
+    default_manager().diagnostics.remark("executor", kernel.name, message)
 
 
 def run_scalar_interpreted(
@@ -242,8 +218,8 @@ def run_scalar_interpreted(
 ) -> ExecResult:
     """Interpret the kernel with scalar semantics, mutating ``bufs``.
 
-    One iteration at a time, one tree walk per statement — slow, simple,
-    and the semantic ground truth the compiled paths are tested against.
+    One iteration at a time, one tree walk per statement: slow, simple,
+    and the semantic ground truth of the whole system.
     """
     env = dict(scalars) if scalars is not None else initial_scalars(kernel)
     stats = _GuardStats()
@@ -355,40 +331,17 @@ def run_vector(
     vec_trip = inner_trip - inner_trip % vf
     outer_trip = 1 if kernel.depth == 1 else kernel.loops[0].trip
 
-    # Native fast path for the full lane blocks (depth ≤ 2; the scalar
-    # tail below stays in Python either way).  One native call per
-    # outer-loop instance, so the tail of row N runs before the blocks
-    # of row N+1 (cross-row dependences require it).  Any refusal —
-    # disabled tier, no toolchain, no verified vector entry — returns
-    # False without touching a buffer, and is final: the attempt is not
-    # repeated on later outer iterations.
-    native_candidate = (
-        kernel.depth <= 2
-        and bool(vec_trip)
-        and os.environ.get("REPRO_COMPILE", "1") != "0"
-    )
-    if native_candidate:
-        from .native import try_run_vector_blocks
-
     tail_env = _TailEnv(lane_env, set(red_ops))
     tail_stats = _GuardStats()
     total = 0
     with np.errstate(all="ignore"):
         for outer in range(outer_trip):
-            ran_native = native_candidate and try_run_vector_blocks(
-                plan, bufs, lane_env, vf, vec_trip, outer=outer
-            )
-            if native_candidate and not ran_native:
-                native_candidate = False
-            if ran_native:
-                total += vec_trip // vf
-            else:
-                for start in range(0, vec_trip, vf):
-                    lanes = np.arange(start, start + vf)
-                    ivals = (lanes,) if kernel.depth == 1 else (outer, lanes)
-                    ctx = _Ctx(bufs, lane_env, ivals)
-                    _exec_stmts_vector(kernel, kernel.body, ctx, None, vf)
-                    total += 1
+            for start in range(0, vec_trip, vf):
+                lanes = np.arange(start, start + vf)
+                ivals = (lanes,) if kernel.depth == 1 else (outer, lanes)
+                ctx = _Ctx(bufs, lane_env, ivals)
+                _exec_stmts_vector(kernel, kernel.body, ctx, None, vf)
+                total += 1
             # Scalar tail of this inner-loop instance, before the next
             # outer iteration (cross-row dependences require it).
             for inner in range(vec_trip, inner_trip):

@@ -1,1922 +1,14 @@
-"""Native kernel tier: ``LoopKernel`` IR → C → shared library → ctypes.
+"""Name of the removed native C tier's batch pre-build, kept as a no-op.
 
-The third and fastest compilation tier.  A kernel's IR is rendered to a
-C translation unit (one scalar entry point mirroring the interpreter's
-statement-at-a-time semantics, plus — when the kernel is depth-1 and
-unguarded — a lane-blocked vector entry mirroring
-:func:`repro.sim.executor._exec_stmts_vector`), compiled once per
-*(kernel fingerprint, toolchain identity)* with the host compiler
-(:mod:`.toolchain`), and loaded via :func:`numpy.ctypeslib.load_library`.
-
-Build once, attach many: artifacts live in an on-disk cache keyed by
-``sha256(kernel_fp | toolchain | schema)``, installed atomically
-(tmp + ``os.replace``) under an ``flock`` so concurrent pool workers
-never race a build, with a JSON sidecar recording the build-time
-verification verdict and an integrity digest of the ``.so`` — attaching
-processes re-verify the bytes, not the semantics.
-
-Semantics contract (why the output can be *bit-identical* to numpy):
-
-* the toolchain compiles with ``-fwrapv -ffp-contract=off`` (wrapping
-  int arithmetic, no FMA contraction);
-* ``sqrt`` is emitted as ``sqrtf(fabsf(x))`` plus a fire counter —
-  exactly :func:`repro.sim.ufuncs.guarded_sqrt`, including ``-0.0``;
-* min/max propagate NaN the way ``np.minimum``/``np.maximum`` do
-  (``(a < b || a != a) ? a : b``);
-* shifts reproduce numpy's guarded semantics (shift count ≥ width
-  yields 0, or the sign for right shifts);
-* integer division goes through ``double`` like ``np.divide`` + cast;
-* ``Select`` and integer ``abs`` are helper *functions*, so both
-  operands are evaluated (``np.where`` evaluates both branches and the
-  sqrt fire counter must see the same calls).
-
-What C cannot promise bit-for-bit — libm ``exp`` vs numpy's SIMD
-``np.exp`` is the known case — the build-time self-check catches: every
-artifact is executed against the interpreter before installation and
-kernels that don't match *exactly* are demoted to the PR-4 tiers with a
-``-Rpass-missed=native`` remark (``REPRO_NATIVE_TOLERANCE=1`` opts into
-accepting float-only drift within ``rtol=1e-4``).
-
-``REPRO_NATIVE=0`` disables the tier; a host with no C compiler
-degrades to the NumPy/scalar tiers with a single diagnostic remark.
+The tree-walking interpreter in :mod:`.executor` is the only executor.
+The end-to-end benchmark (``e2ebench/tracer.py``) wraps
+:func:`prebuild_native` by name, so the name stays; nothing in the
+package calls it.
 """
 
 from __future__ import annotations
 
-import ctypes
-import fcntl
-import hashlib
-import json
-import os
-import time
-from typing import Optional
 
-import numpy as np
-
-from ..analysis.reduction import ScalarClass
-from ..ir.expr import (
-    Affine,
-    BinOp,
-    BinOpKind,
-    CmpKind,
-    Compare,
-    Const,
-    Convert,
-    Expr,
-    Indirect,
-    IterValue,
-    Load,
-    ScalarRef,
-    Select,
-    UnOp,
-    UnOpKind,
-)
-from ..ir.kernel import LoopKernel
-from ..ir.stmt import ArrayStore, IfBlock, ScalarAssign
-from ..ir.types import DType
-from . import compile as _compile
-from . import ufuncs
-from .compile import CompileError, CompiledKernel
-from .executor import (
-    _Ctx,
-    _exec_stmts_vector,
-    initial_scalars,
-    make_buffers,
-    make_lane_env,
-    run_scalar_interpreted,
-)
-from .toolchain import (
-    Toolchain,
-    ToolchainError,
-    compile_shared,
-    find_toolchain,
-    reset_toolchain_memo,
-    toolchain_failure,
-)
-from .ufuncs import NP_DTYPE
-
-__all__ = [
-    "NativeError",
-    "NativeUnsupported",
-    "clear_attached",
-    "clear_native_artifacts",
-    "native_available",
-    "native_batch_size",
-    "native_cache_dir",
-    "native_compiled",
-    "native_enabled",
-    "prebuild_native",
-    "reset_native_state",
-    "try_run_vector_blocks",
-]
-
-#: Bump when the emitted C or the ABI of the entry points changes:
-#: every cached artifact older than this schema is invalidated.
-#: 2: range-analysis consumers (unguarded fast body behind a runtime
-#: contract scan, plain shifts, folded constant guards).
-#: 3: batched translation units — sidecar meta gained ``so`` (shared
-#: ``batch-*.so`` membership) and ``prefix`` (per-member symbol names),
-#: and the loader resolves shared objects through the meta.
-#: 4: depth-2 vector entries — the vector ABI gained an ``outer``
-#: parameter (one call per outer-loop instance; depth-1 callers pass 0).
-NATIVE_SCHEMA = 4
-
-#: Inner iterations of the build-time interpreter-vs-native check.
-#: Longer than the PR-4 check (16): libm divergence (``expf``) needs a
-#: few dozen elements to show up reliably.
-_NATIVE_CHECK_ITERS = 64
-
-#: Largest vector factor the emitted per-statement lane temps hold.
-_VF_MAX = 256
-
-
-class NativeError(RuntimeError):
-    """A native kernel failed *at run time* (out-of-bounds index).
-
-    Deliberately not a :class:`CompileError`: buffers may already be
-    partially mutated, so silently re-running the kernel on another
-    tier would be wrong.
-    """
-
-
-class NativeUnsupported(Exception):
-    """The kernel shape cannot be rendered to C (static refusal)."""
-
-
-class _Failure:
-    """Memoized negative attach result."""
-
-    __slots__ = ("reason",)
-
-    def __init__(self, reason: str):
-        self.reason = reason
-
-
-class _NativeModule:
-    """A loaded artifact: entry-point wrappers plus its sidecar meta."""
-
-    __slots__ = ("lib", "meta", "scalar_run", "vector_run", "lanes")
-
-    def __init__(self, lib, meta, scalar_run, vector_run, lanes):
-        self.lib = lib
-        self.meta = meta
-        self.scalar_run = scalar_run
-        self.vector_run = vector_run
-        self.lanes = lanes
-
-
-#: nfp -> _NativeModule | _Failure (per-process attach memo).
-_ATTACHED: dict[str, object] = {}
-#: One "native tier unavailable" remark per process, not per kernel.
-_DEGRADED = False
-
-
-def native_enabled() -> bool:
-    return os.environ.get("REPRO_NATIVE", "1") != "0"
-
-
-def tolerance_enabled() -> bool:
-    return os.environ.get("REPRO_NATIVE_TOLERANCE", "") == "1"
-
-
-def native_available() -> bool:
-    """Enabled *and* a working host toolchain exists (probe memoized)."""
-    return native_enabled() and find_toolchain() is not None
-
-
-def native_cache_dir() -> str:
-    env = os.environ.get("REPRO_NATIVE_CACHE_DIR")
-    if env:
-        return env
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache"
-    )
-    return os.path.join(base, "repro-vec", "native")
-
-
-def native_cache_max() -> int:
-    try:
-        return max(1, int(os.environ.get("REPRO_NATIVE_CACHE_MAX", "512")))
-    except ValueError:
-        return 512
-
-
-def native_batch_size() -> int:
-    """Kernels per batched translation unit (``REPRO_NATIVE_BATCH``).
-
-    Values of 0 or 1 disable batching — every kernel gets its own TU
-    and ``cc`` invocation, the pre-batching behavior the corpus bench
-    compares against.
-    """
-    try:
-        return max(1, int(os.environ.get("REPRO_NATIVE_BATCH", "24")))
-    except ValueError:
-        return 24
-
-
-def clear_attached() -> None:
-    """Drop per-process attach memos (loaded libraries stay mapped)."""
-    _ATTACHED.clear()
-
-
-def reset_native_state() -> None:
-    """Full per-process reset: memos, degradation flag, toolchain probe."""
-    global _DEGRADED
-    clear_attached()
-    _DEGRADED = False
-    reset_toolchain_memo()
-
-
-def clear_native_artifacts(root: Optional[str] = None) -> int:
-    """Purge the on-disk artifact cache; returns the number of ``.so``s."""
-    root = root or native_cache_dir()
-    removed = 0
-    try:
-        names = os.listdir(root)
-    except OSError:
-        return 0
-    for f in names:
-        if f.endswith(".so"):
-            removed += 1
-        if f.endswith((".so", ".json", ".c", ".lock", ".tmp")):
-            try:
-                os.unlink(os.path.join(root, f))
-            except OSError:
-                pass
-    clear_attached()
-    return removed
-
-
-def _native_fingerprint(fp: str, tc: Toolchain) -> str:
-    blob = f"{fp}|{tc.identity}|schema={NATIVE_SCHEMA}"
-    return hashlib.sha256(blob.encode()).hexdigest()[:40]
-
-
-def _sha256_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _diag(kernel: LoopKernel, message: str, warning: bool = False) -> None:
-    from ..analysis.framework.passmanager import default_manager
-
-    diags = default_manager().diagnostics
-    (diags.warning if warning else diags.remark)("native", kernel.name, message)
-
-
-def _note_degraded(kernel: LoopKernel) -> None:
-    global _DEGRADED
-    if _DEGRADED:
-        return
-    _DEGRADED = True
-    _diag(
-        kernel,
-        f"-Rpass-missed=native: native tier unavailable "
-        f"({toolchain_failure() or 'no toolchain'}); "
-        "falling back to the NumPy/scalar tiers",
-    )
-
-
-# ---------------------------------------------------------------------------
-# C emission
-# ---------------------------------------------------------------------------
-
-_CTYPE = {
-    DType.F32: "float",
-    DType.F64: "double",
-    DType.I32: "int32_t",
-    DType.I64: "int64_t",
-    DType.BOOL: "uint8_t",
-}
-
-_SUFFIX = {
-    DType.F32: "f32",
-    DType.F64: "f64",
-    DType.I32: "i32",
-    DType.I64: "i64",
-    DType.BOOL: "u8",
-}
-
-_CMP_OP = {
-    CmpKind.LT: "<",
-    CmpKind.LE: "<=",
-    CmpKind.GT: ">",
-    CmpKind.GE: ">=",
-    CmpKind.EQ: "==",
-    CmpKind.NE: "!=",
-}
-
-# The helpers encode numpy's exact operator semantics — see module doc.
-_PRELUDE = """\
-#include <stdint.h>
-#include <math.h>
-
-#define REPRO_VF_MAX 256
-
-/* Bounds elision pays off twice: the fast body is a clean loop (no
- * early-exit oob branch), so the auto-vectorizer can work on it, and
- * the contract scan is a branchless compare-reduce that only pays for
- * itself if it runs SIMD.  GCC 12 enables neither at -O2, so force
- * -O3 on exactly those two functions.  The optimize attribute resets
- * command-line codegen flags, so -fwrapv and -ffp-contract=off (the
- * bit-identity contract of this tier) are restated explicitly. */
-#if defined(__GNUC__) && !defined(__clang__)
-#define REPRO_VECLOOP \
-    __attribute__((optimize("O3", "-fwrapv", "-ffp-contract=off")))
-#else
-#define REPRO_VECLOOP
-#endif
-
-static inline int64_t repro_wrap(int64_t i, int64_t ext) {
-    return i < 0 ? i + ext : i;
-}
-static inline int64_t repro_idx(int64_t i, int64_t ext, int64_t *oob) {
-    if (i < 0) i += ext;
-    if (i < 0 || i >= ext) { *oob = 1; return 0; }
-    return i;
-}
-static inline float repro_sqrt_f32(float x, int64_t *fires) {
-    if (x < 0.0f) ++*fires;
-    return sqrtf(fabsf(x));
-}
-static inline double repro_sqrt_f64(double x, int64_t *fires) {
-    if (x < 0.0) ++*fires;
-    return sqrt(fabs(x));
-}
-static inline float repro_min_f32(float a, float b) {
-    return (a < b || a != a) ? a : b;
-}
-static inline float repro_max_f32(float a, float b) {
-    return (a > b || a != a) ? a : b;
-}
-static inline double repro_min_f64(double a, double b) {
-    return (a < b || a != a) ? a : b;
-}
-static inline double repro_max_f64(double a, double b) {
-    return (a > b || a != a) ? a : b;
-}
-static inline int32_t repro_min_i32(int32_t a, int32_t b) { return a < b ? a : b; }
-static inline int32_t repro_max_i32(int32_t a, int32_t b) { return a > b ? a : b; }
-static inline int64_t repro_min_i64(int64_t a, int64_t b) { return a < b ? a : b; }
-static inline int64_t repro_max_i64(int64_t a, int64_t b) { return a > b ? a : b; }
-static inline int32_t repro_abs_i32(int32_t a) {
-    return a < 0 ? (int32_t)(0u - (uint32_t)a) : a;
-}
-static inline int64_t repro_abs_i64(int64_t a) {
-    return a < 0 ? (int64_t)(0ull - (uint64_t)a) : a;
-}
-static inline int32_t repro_shl_i32(int32_t a, int32_t b) {
-    return ((uint32_t)b < 32u) ? (int32_t)((uint32_t)a << b) : 0;
-}
-static inline int64_t repro_shl_i64(int64_t a, int64_t b) {
-    return ((uint64_t)b < 64u) ? (int64_t)((uint64_t)a << b) : 0;
-}
-static inline int32_t repro_shr_i32(int32_t a, int32_t b) {
-    return ((uint32_t)b < 32u) ? (a >> b) : (a < 0 ? -1 : 0);
-}
-static inline int64_t repro_shr_i64(int64_t a, int64_t b) {
-    return ((uint64_t)b < 64u) ? (a >> b) : (a < 0 ? -1 : 0);
-}
-static inline float repro_sel_f32(uint8_t c, float t, float f) { return c ? t : f; }
-static inline double repro_sel_f64(uint8_t c, double t, double f) { return c ? t : f; }
-static inline int32_t repro_sel_i32(uint8_t c, int32_t t, int32_t f) { return c ? t : f; }
-static inline int64_t repro_sel_i64(uint8_t c, int64_t t, int64_t f) { return c ? t : f; }
-static inline uint8_t repro_sel_u8(uint8_t c, uint8_t t, uint8_t f) { return c ? t : f; }
-"""
-
-
-class _CEmitter:
-    """Renders one kernel body to C, scalar or lane-blocked vector form.
-
-    The emitter is *strict*: any shape it cannot reproduce with the
-    interpreter's exact semantics raises :class:`NativeUnsupported`
-    instead of emitting approximate code.
-    """
-
-    def __init__(self, kernel: LoopKernel, vector: bool = False,
-                 lanes: frozenset = frozenset(), bounds=None, guards=None,
-                 fast: bool = False):
-        self.kernel = kernel
-        self.vector = vector
-        self.lanes = lanes
-        #: BoundsInfo / GuardRangeInfo from the range-analysis passes,
-        #: or None when ``REPRO_RANGES=0`` (no elision, no folding).
-        self.bounds = bounds
-        self.guards = guards
-        #: Fast-body mode: contract-proven gathers/scatters are emitted
-        #: raw (no ``repro_idx``).  Only sound behind the runtime
-        #: contract scan recorded in :attr:`contract_checks`.
-        self.fast = fast
-        #: (index_array, affine, index_ext, target_ext) tuples the
-        #: dispatcher's ``repro_contract_ok`` must verify.
-        self.contract_checks: list[tuple[str, Affine, int, int]] = []
-        self.elided_gathers = 0
-        #: One event per elided access for the profitability model:
-        #: (is_store, target_array, index_array, index_affine_repr).
-        self.elide_events: list[tuple[bool, str, str, str]] = []
-        self.elided_shifts = 0
-        self.folded_guards = 0
-        self._store_target = False
-        self.depth = kernel.depth
-        self.trips = [lp.trip for lp in kernel.loops]
-        self.uses_oob = False
-        self.lines: list[str] = []
-        self.indent = 1
-        self._nguard = 0
-        self._ntmp = 0
-        self._nsqrt = 0
-        #: sqrt fire-counter locals of the statement being emitted
-        #: (vector mode: one increment per call site per lane block,
-        #: matching one guarded_sqrt() call per whole-array evaluation).
-        self._stmt_sqrt_sites: list[str] = []
-
-    def emit(self, line: str) -> None:
-        self.lines.append("    " * self.indent + line)
-
-    def tmp(self) -> str:
-        self._ntmp += 1
-        return f"_t{self._ntmp}"
-
-    # -- index arithmetic ---------------------------------------------------
-
-    def itercode(self, level: int) -> str:
-        if self.vector:
-            # The inner level is the lane-blocked one; an enclosing
-            # outer level reads the ``outer`` call parameter (the
-            # entry runs one inner-loop instance per call).
-            if self.depth > 1 and level == 0:
-                return "_outer"
-            return "(_s + _l)"
-        if self.depth == 1:
-            return "_i"
-        return "_o" if level == 0 else "_i"
-
-    def affine(self, af: Affine) -> str:
-        parts = []
-        for lvl, c in enumerate(af.coeffs):
-            if lvl >= self.depth or c == 0:
-                continue
-            iv = self.itercode(lvl)
-            parts.append(iv if c == 1 else f"({c} * {iv})")
-        if af.offset or not parts:
-            parts.append(str(af.offset))
-        return "(" + " + ".join(parts) + ")"
-
-    def rng(self, af: Affine) -> tuple[int, int]:
-        lo = hi = af.offset
-        for lvl, c in enumerate(af.coeffs):
-            if lvl >= len(self.trips) or c == 0:
-                continue
-            span = c * (self.trips[lvl] - 1)
-            lo += min(0, span)
-            hi += max(0, span)
-        return lo, hi
-
-    def dim_index(self, array: str, d: int, ix) -> str:
-        """Index code for one subscript dimension, bounds-disciplined.
-
-        Statically in-bounds affine → raw expression; possibly negative
-        (Python wrap) → ``repro_wrap``; statically out of range →
-        refusal.  Indirect indices are runtime-checked by ``repro_idx``
-        (wrap negatives, flag anything out of range).
-        """
-        decl = self.kernel.arrays[array]
-        ext = decl.extents[d]
-        if isinstance(ix, Affine):
-            code = self.affine(ix)
-            lo, hi = self.rng(ix)
-            if lo >= 0 and hi < ext:
-                return code
-            if lo >= -ext and hi < ext:
-                return f"repro_wrap({code}, {ext})"
-            raise NativeUnsupported(
-                f"subscript {d} of {array!r} spans [{lo}, {hi}] "
-                f"vs extent {ext}"
-            )
-        assert isinstance(ix, Indirect)
-        idecl = self.kernel.arrays.get(ix.array)
-        if idecl is None or len(idecl.extents) != 1:
-            raise NativeUnsupported(
-                f"indirect through multi-dim array {ix.array!r}"
-            )
-        if not idecl.dtype.is_int:
-            raise NativeUnsupported(
-                f"indirect through non-integer array {ix.array!r}"
-            )
-        icode = self.dim_index(ix.array, 0, ix.index)
-        loaded = f"((int64_t)b_{ix.array}[{icode}])"
-        if (
-            self.fast
-            and self.bounds is not None
-            and self.bounds.indirect_proven(ix, array, d)
-        ):
-            # Contract-proven in [0, ext): raw index, no wrap, no oob
-            # bookkeeping.  The dispatcher only enters this body after
-            # repro_contract_ok verified the recorded slice at run time.
-            self.contract_checks.append(
-                (ix.array, ix.index, idecl.extents[0], ext)
-            )
-            self.elided_gathers += 1
-            self.elide_events.append(
-                (self._store_target, array, ix.array, str(ix.index))
-            )
-            return loaded
-        self.uses_oob = True
-        return f"repro_idx({loaded}, {ext}, oob)"
-
-    def flat_index(self, array: str, subscript) -> str:
-        decl = self.kernel.arrays[array]
-        if len(subscript) != len(decl.extents):
-            raise NativeUnsupported(f"partial subscript on {array!r}")
-        if len(decl.extents) == 1:
-            return self.dim_index(array, 0, subscript[0])
-        if len(decl.extents) == 2:
-            i0 = self.dim_index(array, 0, subscript[0])
-            i1 = self.dim_index(array, 1, subscript[1])
-            return f"({i0} * {decl.extents[1]} + {i1})"
-        raise NativeUnsupported(f"{len(decl.extents)}-d array {array!r}")
-
-    # -- expressions --------------------------------------------------------
-
-    def const(self, value, dtype: DType) -> str:
-        ct = _CTYPE[dtype]
-        if dtype is DType.BOOL:
-            return f"((uint8_t){1 if value else 0})"
-        if dtype.is_int:
-            v = int(NP_DTYPE[dtype](value))
-            if dtype is DType.I64 and v == -(2**63):
-                return "((int64_t)(-9223372036854775807LL - 1))"
-            return f"(({ct})({v}LL))"
-        # Floats: round to the target width first, then print the exact
-        # hex value so the C literal is bit-identical to the numpy const.
-        f = float(NP_DTYPE[dtype](value))
-        if f != f:
-            return f"(({ct})NAN)"
-        if f == float("inf"):
-            return f"(({ct})INFINITY)"
-        if f == float("-inf"):
-            return f"(-({ct})INFINITY)"
-        suffix = "F" if dtype is DType.F32 else ""
-        return f"({f.hex()}{suffix})"
-
-    def cast(self, code: str, src: DType, dst: DType) -> str:
-        if src is dst:
-            return code
-        if dst is DType.BOOL:
-            return f"((uint8_t)({code} != 0))"
-        return f"(({_CTYPE[dst]}){code})"
-
-    def scalar_ref(self, name: str) -> str:
-        if not self.vector:
-            return f"s_{name}"
-        return f"L_{name}[_l]" if name in self.lanes else f"P_{name}"
-
-    def expr(self, e: Expr) -> str:
-        if isinstance(e, Const):
-            return self.const(e.value, e.dtype)
-        if isinstance(e, ScalarRef):
-            return self.scalar_ref(e.name)
-        if isinstance(e, IterValue):
-            return f"((int32_t){self.itercode(e.level)})"
-        if isinstance(e, Load):
-            return f"b_{e.array}[{self.flat_index(e.array, e.subscript)}]"
-        if isinstance(e, Convert):
-            return self.cast(self.expr(e.operand), e.operand.dtype, e.dtype)
-        if isinstance(e, UnOp):
-            return self.unop(e)
-        if isinstance(e, BinOp):
-            return self.binop(e)
-        if isinstance(e, Compare):
-            return self.compare(e)
-        if isinstance(e, Select):
-            c = self.expr(e.cond)
-            t = self.cast(self.expr(e.if_true), e.if_true.dtype, e.dtype)
-            f = self.cast(self.expr(e.if_false), e.if_false.dtype, e.dtype)
-            # A helper *function*, not a ternary: np.where evaluates
-            # both branches (the sqrt fire counter must see both).
-            return f"repro_sel_{_SUFFIX[e.dtype]}({c}, {t}, {f})"
-        raise NativeUnsupported(f"cannot emit {type(e).__name__}")
-
-    def unop(self, e: UnOp) -> str:
-        x = self.expr(e.operand)
-        dt = e.dtype
-        ct = _CTYPE[dt]
-        if e.op is UnOpKind.NEG:
-            return f"(-{x})" if dt.is_float else f"(({ct})(-{x}))"
-        if e.op is UnOpKind.ABS:
-            if dt is DType.F32:
-                return f"fabsf({x})"
-            if dt is DType.F64:
-                return f"fabs({x})"
-            return f"repro_abs_{_SUFFIX[dt]}({x})"
-        if e.op is UnOpKind.SQRT:
-            return f"repro_sqrt_{_SUFFIX[dt]}({x}, {self.sqrt_target()})"
-        if e.op is UnOpKind.EXP:
-            fn = "expf" if dt is DType.F32 else "exp"
-            return f"{fn}({x})"
-        if e.op is UnOpKind.NOT:
-            return f"((uint8_t)(!{x}))"
-        raise NativeUnsupported(f"unop {e.op.name}")
-
-    def sqrt_target(self) -> str:
-        """Fire-counter destination for one sqrt call site.
-
-        Scalar mode counts per evaluation (one element per call, like
-        the interpreter).  Vector mode gives each site a per-statement
-        local folded to ≤1 increment per lane block — one guarded_sqrt
-        call per whole-statement evaluation, like the numpy path.
-        """
-        if not self.vector:
-            return "sqrt_fires"
-        name = f"_sf{self._nsqrt}"
-        self._nsqrt += 1
-        self._stmt_sqrt_sites.append(name)
-        return f"&{name}"
-
-    def binop(self, e: BinOp) -> str:
-        dt = e.dtype
-        ct = _CTYPE[dt]
-        if e.op in (BinOpKind.SHL, BinOpKind.SHR):
-            # numpy shifts: operands promoted (not cast to the result
-            # dtype), computed in the common width with guarded counts.
-            wide = (
-                DType.I64
-                if DType.I64 in (e.lhs.dtype, e.rhs.dtype)
-                else DType.I32
-            )
-            a = self.cast(self.expr(e.lhs), e.lhs.dtype, wide)
-            b = self.cast(self.expr(e.rhs), e.rhs.dtype, wide)
-            width = 64 if wide is DType.I64 else 32
-            if self.guards is not None and self.guards.shift_safe(e, width):
-                # Count proven in [0, width) — and for SHL a proven
-                # nonnegative operand — so the guarded wrapper is
-                # redundant and a plain C shift is well-defined with
-                # identical semantics.
-                self.elided_shifts += 1
-                wct = _CTYPE[wide]
-                uct = "uint64_t" if wide is DType.I64 else "uint32_t"
-                if e.op is BinOpKind.SHL:
-                    code = f"(({wct})(({uct}){a} << {b}))"
-                else:
-                    code = f"({a} >> {b})"
-                return self.cast(code, wide, dt)
-            fn = "shl" if e.op is BinOpKind.SHL else "shr"
-            code = f"repro_{fn}_{_SUFFIX[wide]}({a}, {b})"
-            return self.cast(code, wide, dt)
-        a = self.cast(self.expr(e.lhs), e.lhs.dtype, dt)
-        b = self.cast(self.expr(e.rhs), e.rhs.dtype, dt)
-        if e.op is BinOpKind.DIV:
-            if dt.is_int:
-                # np.divide(int, int) → float64, then C-cast back.
-                return f"(({ct})((double){a} / (double){b}))"
-            return f"({a} / {b})"
-        if e.op in (BinOpKind.MIN, BinOpKind.MAX):
-            fn = "min" if e.op is BinOpKind.MIN else "max"
-            return f"repro_{fn}_{_SUFFIX[dt]}({a}, {b})"
-        if e.op in (BinOpKind.ADD, BinOpKind.SUB, BinOpKind.MUL):
-            op = {BinOpKind.ADD: "+", BinOpKind.SUB: "-", BinOpKind.MUL: "*"}[e.op]
-            code = f"({a} {op} {b})"
-            return code if dt.is_float else f"(({ct}){code})"
-        if e.op in (BinOpKind.AND, BinOpKind.OR, BinOpKind.XOR):
-            op = {BinOpKind.AND: "&", BinOpKind.OR: "|", BinOpKind.XOR: "^"}[e.op]
-            return f"(({ct})({a} {op} {b}))"
-        raise NativeUnsupported(f"binop {e.op.name}")
-
-    def compare(self, e: Compare) -> str:
-        a, b = self.expr(e.lhs), self.expr(e.rhs)
-        op = _CMP_OP[e.op]
-        if e.lhs.dtype.is_float or e.rhs.dtype.is_float:
-            # numpy promotes mixed compares to float64; comparing two
-            # f32 in double is exact, so one rule covers every case.
-            a, b = f"((double){a})", f"((double){b})"
-        return f"((uint8_t)({a} {op} {b}))"
-
-    # -- statements: scalar entry -------------------------------------------
-
-    def _emit_tracked(self, fn):
-        """Run an emission closure; report whether it added oob checks."""
-        before = self.uses_oob
-        code = fn()
-        return code, self.uses_oob != before
-
-    def stmt_scalar(self, stmt) -> None:
-        if isinstance(stmt, ArrayStore):
-            decl = self.kernel.arrays[stmt.array]
-            val, val_oob = self._emit_tracked(
-                lambda: self.cast(
-                    self.expr(stmt.value), stmt.value.dtype, decl.dtype
-                )
-            )
-            self._store_target = True
-            try:
-                idx, idx_oob = self._emit_tracked(
-                    lambda: self.flat_index(stmt.array, stmt.subscript)
-                )
-            finally:
-                self._store_target = False
-            if not (val_oob or idx_oob):
-                self.emit(f"b_{stmt.array}[{idx}] = {val};")
-                return
-            # Python evaluates RHS, then the index, and raises before
-            # storing on an out-of-range index — mirror that order.
-            v, ixv = self.tmp(), self.tmp()
-            self.emit("{")
-            self.emit(f"    {_CTYPE[decl.dtype]} {v} = {val};")
-            if val_oob:
-                self.emit("    if (*oob) goto repro_done;")
-            self.emit(f"    int64_t {ixv} = {idx};")
-            if idx_oob:
-                self.emit("    if (*oob) goto repro_done;")
-            self.emit(f"    b_{stmt.array}[{ixv}] = {v};")
-            self.emit("}")
-        elif isinstance(stmt, ScalarAssign):
-            decl = self.kernel.scalars[stmt.name]
-            val, val_oob = self._emit_tracked(
-                lambda: self.cast(
-                    self.expr(stmt.value), stmt.value.dtype, decl.dtype
-                )
-            )
-            self.emit(f"s_{stmt.name} = {val};")
-            if val_oob:
-                self.emit("if (*oob) goto repro_done;")
-        elif isinstance(stmt, IfBlock):
-            k = self._nguard
-            self._nguard += 1
-            fold = self.guards.fold_of(stmt) if self.guards is not None else None
-            if fold is None:
-                cond, cond_oob = self._emit_tracked(
-                    lambda: self.expr(stmt.cond)
-                )
-            else:
-                # Proven-constant, side-effect-free condition: fold to a
-                # literal (the dead arm compiles away); all guard
-                # bookkeeping stays for counter parity.
-                cond, cond_oob = ("1" if fold else "0"), False
-                self.folded_guards += 1
-            self.emit(
-                f"if (!gseen[{k}]) {{ gorder[*gcount] = {k}; *gcount += 1; }}"
-            )
-            self.emit(f"gseen[{k}] += 1;")
-            if cond_oob:
-                c = self.tmp()
-                self.emit(f"uint8_t {c} = {cond};")
-                self.emit("if (*oob) goto repro_done;")
-                cond = c
-            self.emit(f"if ({cond}) {{")
-            self.indent += 1
-            self.emit(f"gtaken[{k}] += 1;")
-            for s in stmt.then_body:
-                self.stmt_scalar(s)
-            self.indent -= 1
-            if stmt.else_body:
-                self.emit("} else {")
-                self.indent += 1
-                for s in stmt.else_body:
-                    self.stmt_scalar(s)
-                self.indent -= 1
-            self.emit("}")
-        else:
-            raise NativeUnsupported(f"cannot emit {type(stmt).__name__}")
-
-    def gen_scalar(self, name: str = "repro_scalar", static: bool = False) -> str:
-        k = self.kernel
-        linkage = "static " if static else ""
-        pad = " " * len(f"{linkage}int64_t {name}(")
-        self.lines = [
-            f"{linkage}int64_t {name}(void **bufs, void **scalars,",
-            f"{pad}int64_t inner_trip, int64_t outer_trip,",
-            f"{pad}int64_t *gseen, int64_t *gtaken,",
-            f"{pad}int64_t *gorder, int64_t *gcount,",
-            f"{pad}int64_t *sqrt_fires, int64_t *oob) {{",
-        ]
-        for j, (name, decl) in enumerate(k.arrays.items()):
-            ct = _CTYPE[decl.dtype]
-            self.emit(f"{ct} *b_{name} = ({ct} *)bufs[{j}];")
-        for j, (name, decl) in enumerate(k.scalars.items()):
-            ct = _CTYPE[decl.dtype]
-            self.emit(f"{ct} s_{name} = *({ct} *)scalars[{j}];")
-        self.emit("(void)gseen; (void)gtaken; (void)gorder; (void)gcount;")
-        self.emit("(void)sqrt_fires; (void)oob;")
-        if self.depth == 1:
-            self.emit("(void)outer_trip;")
-            self.emit("for (int64_t _i = 0; _i < inner_trip; _i++) {")
-            self.indent += 1
-        else:
-            self.emit("for (int64_t _o = 0; _o < outer_trip; _o++) {")
-            self.indent += 1
-            self.emit("for (int64_t _i = 0; _i < inner_trip; _i++) {")
-            self.indent += 1
-        for s in k.body:
-            self.stmt_scalar(s)
-        self.indent -= 1
-        self.emit("}")
-        if self.depth > 1:
-            self.indent -= 1
-            self.emit("}")
-        if self.uses_oob:
-            self.emit("repro_done:;")
-        for j, (name, decl) in enumerate(k.scalars.items()):
-            ct = _CTYPE[decl.dtype]
-            self.emit(f"*({ct} *)scalars[{j}] = s_{name};")
-        self.emit("return inner_trip * outer_trip;")
-        self.lines.append("}")
-        return "\n".join(self.lines)
-
-    # -- statements: vector entry -------------------------------------------
-
-    def stmt_vector(self, si: int, stmt) -> None:
-        """One statement as a two-phase lane block.
-
-        Phase 1 evaluates the whole RHS for all ``vf`` lanes into a
-        temp; phase 2 stores in lane order — exactly numpy's
-        whole-RHS-then-assign shape, so same-statement anti-dependences
-        read pre-store values and duplicate store indices resolve
-        last-lane-wins.
-        """
-        if isinstance(stmt, ArrayStore):
-            decl = self.kernel.arrays[stmt.array]
-            target_dt = decl.dtype
-            store = True
-        elif isinstance(stmt, ScalarAssign):
-            if stmt.name not in self.lanes:
-                raise NativeUnsupported(
-                    f"assignment to non-lane scalar {stmt.name!r}"
-                )
-            decl = self.kernel.scalars[stmt.name]
-            target_dt = decl.dtype
-            store = False
-        else:
-            raise NativeUnsupported(
-                f"{type(stmt).__name__} in vector entry"
-            )
-        self._stmt_sqrt_sites = []
-        val, val_oob = self._emit_tracked(
-            lambda: self.cast(self.expr(stmt.value), stmt.value.dtype, target_dt)
-        )
-        if store:
-            idx, idx_oob = self._emit_tracked(
-                lambda: self.flat_index(stmt.array, stmt.subscript)
-            )
-        self.emit("{")
-        self.indent += 1
-        for site in self._stmt_sqrt_sites:
-            self.emit(f"int64_t {site} = 0;")
-        self.emit(f"{_CTYPE[target_dt]} _v{si}[REPRO_VF_MAX];")
-        self.emit("for (int64_t _l = 0; _l < vf; _l++) {")
-        self.indent += 1
-        self.emit(f"_v{si}[_l] = {val};")
-        if val_oob:
-            self.emit("if (*oob) goto repro_done;")
-        self.indent -= 1
-        self.emit("}")
-        for site in self._stmt_sqrt_sites:
-            self.emit(f"if ({site}) {{ *sqrt_fires += 1; }}")
-        self.emit("for (int64_t _l = 0; _l < vf; _l++) {")
-        self.indent += 1
-        if store:
-            if idx_oob:
-                ixv = self.tmp()
-                self.emit(f"int64_t {ixv} = {idx};")
-                self.emit("if (*oob) goto repro_done;")
-                self.emit(f"b_{stmt.array}[{ixv}] = _v{si}[_l];")
-            else:
-                self.emit(f"b_{stmt.array}[{idx}] = _v{si}[_l];")
-        else:
-            self.emit(f"L_{stmt.name}[_l] = _v{si}[_l];")
-        self.indent -= 1
-        self.emit("}")
-        self.indent -= 1
-        self.emit("}")
-
-    def gen_vector(self, name: str = "repro_vector") -> str:
-        k = self.kernel
-        if self.depth > 2:
-            raise NativeUnsupported("vector entry requires depth ≤ 2")
-        if any(isinstance(s, IfBlock) for s in k.stmts()):
-            raise NativeUnsupported("guarded statements in vector entry")
-        pad = " " * len(f"int64_t {name}(")
-        self.lines = [
-            f"int64_t {name}(void **bufs, void **lanes,",
-            f"{pad}int64_t vf, int64_t vec_trip, int64_t _outer,",
-            f"{pad}int64_t *sqrt_fires, int64_t *oob) {{",
-        ]
-        for j, (name, decl) in enumerate(k.arrays.items()):
-            ct = _CTYPE[decl.dtype]
-            self.emit(f"{ct} *b_{name} = ({ct} *)bufs[{j}];")
-        for j, (name, decl) in enumerate(k.scalars.items()):
-            ct = _CTYPE[decl.dtype]
-            if name in self.lanes:
-                self.emit(f"{ct} *L_{name} = ({ct} *)lanes[{j}];")
-            else:
-                self.emit(f"{ct} P_{name} = *({ct} *)lanes[{j}];")
-        self.emit("(void)sqrt_fires; (void)oob; (void)_outer;")
-        self.emit("for (int64_t _s = 0; _s < vec_trip; _s += vf) {")
-        self.indent += 1
-        for si, s in enumerate(k.body):
-            self.stmt_vector(si, s)
-        self.indent -= 1
-        self.emit("}")
-        if self.uses_oob:
-            self.emit("repro_done:;")
-        self.emit("return vec_trip / vf;")
-        self.lines.append("}")
-        return "\n".join(self.lines)
-
-
-def _lane_scalars(kernel: LoopKernel) -> set[str]:
-    """Scalars the vector entry lane-expands (reductions + privates)."""
-    from ..analysis.framework.passmanager import default_manager
-
-    infos = default_manager().get("scalars", kernel)
-    return {
-        n
-        for n, i in infos.items()
-        if i.klass in (ScalarClass.REDUCTION, ScalarClass.PRIVATE)
-    }
-
-
-def _ranges_info(kernel: LoopKernel):
-    """(BoundsInfo, GuardRangeInfo) for codegen, or (None, None) when
-    the range-analysis consumers are disabled (``REPRO_RANGES=0``)."""
-    from ..analysis.framework.passmanager import default_manager
-    from ..analysis.framework.ranges import (
-        BoundsCheckPass,
-        GuardRangePass,
-        ranges_enabled,
-    )
-
-    if not ranges_enabled():
-        return None, None
-    am = default_manager()
-    return am.get(BoundsCheckPass, kernel), am.get(GuardRangePass, kernel)
-
-
-def _emit_contract_fn(
-    kernel: LoopKernel, checks, name: str = "repro_contract_ok"
-) -> str:
-    """``repro_contract_ok``: runtime validation of the data contract
-    every fast-body elision leans on.
-
-    For each elided gather/scatter, the index-array slice the loop nest
-    will actually read (its affine range over the *runtime* trips) is
-    scanned; any content outside ``[0, target_extent)`` — or a slice
-    leaving the index array itself — selects the guarded body instead.
-    The scan covers the stride-superset ``[lo, hi]``, which is
-    conservative: it can only send borderline inputs to the (always
-    correct) guarded body.
-    """
-    arr_pos = {name: j for j, name in enumerate(kernel.arrays)}
-    seen: set = set()
-    by_arr: dict[str, list] = {}
-    for arr, af, iext, text in checks:
-        key = (arr, str(af), text)
-        if key not in seen:
-            seen.add(key)
-            by_arr.setdefault(arr, []).append((af, iext, text))
-    pad = " " * len(f"static int {name}(")
-    lines = [
-        "REPRO_VECLOOP",
-        f"static int {name}(void **bufs, int64_t inner_trip,",
-        f"{pad}int64_t outer_trip) {{",
-        "    (void)bufs; (void)inner_trip; (void)outer_trip;",
-    ]
-    for name in sorted(by_arr):
-        ct = _CTYPE[kernel.arrays[name].dtype]
-        lines.append(
-            f"    const {ct} *b_{name} = "
-            f"(const {ct} *)bufs[{arr_pos[name]}];"
-        )
-    depth = kernel.depth
-    for arr in sorted(by_arr):
-        group = by_arr[arr]
-        # One scan per index array over the hull of the slices its
-        # elided accesses read, against the strictest target extent —
-        # both merges are conservative (can only reject more inputs).
-        text_min = min(text for _af, _ie, text in group)
-        uct = "uint64_t" if kernel.arrays[arr].dtype is DType.I64 else "uint32_t"
-        lines.append("    {")
-        lines.append("        int64_t s_lo = INT64_MAX, s_hi = INT64_MIN;")
-        for af, iext, _text in group:
-            lines.append("        {")
-            lines.append(f"            int64_t lo = {af.offset}, hi = {af.offset};")
-            for lvl, c in enumerate(af.coeffs):
-                if lvl >= depth or c == 0:
-                    continue
-                trip = "inner_trip" if (depth == 1 or lvl == 1) else "outer_trip"
-                lines.append(
-                    f"            {{ int64_t span = {c} * ({trip} - 1); "
-                    "if (span < 0) lo += span; else hi += span; }"
-                )
-            lines.append(f"            if (lo < 0 || hi >= {iext}) return 0;")
-            lines.append("            if (lo < s_lo) s_lo = lo;")
-            lines.append("            if (hi > s_hi) s_hi = hi;")
-            lines.append("        }")
-        # Branchless unsigned compare (negative wraps above any valid
-        # extent) accumulated with |= — no early exit, so -O2's loop
-        # vectorizer turns the scan into a SIMD compare-reduce.
-        lines.append(f"        {uct} bad = 0;")
-        lines.append("        for (int64_t _j = s_lo; _j <= s_hi; _j++)")
-        lines.append(
-            f"            bad |= (({uct})b_{arr}[_j] >= ({uct}){text_min});"
-        )
-        lines.append("        if (bad) return 0;")
-        lines.append("    }")
-    lines.append("    return 1;")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def _dispatch_src(prefix: str) -> str:
-    """The dispatcher entry: contract scan → fast or guarded body."""
-    args = (
-        "bufs, scalars, inner_trip, outer_trip, "
-        "gseen, gtaken, gorder, gcount, sqrt_fires, oob"
-    )
-    pad = " " * len(f"int64_t {prefix}scalar(")
-    return (
-        f"int64_t {prefix}scalar(void **bufs, void **scalars,\n"
-        f"{pad}int64_t inner_trip, int64_t outer_trip,\n"
-        f"{pad}int64_t *gseen, int64_t *gtaken,\n"
-        f"{pad}int64_t *gorder, int64_t *gcount,\n"
-        f"{pad}int64_t *sqrt_fires, int64_t *oob) {{\n"
-        f"    if ({prefix}contract_ok(bufs, inner_trip, outer_trip))\n"
-        f"        return {prefix}scalar_fast({args});\n"
-        f"    return {prefix}scalar_guarded({args});\n"
-        "}"
-    )
-
-
-def _emit_kernel_body(
-    kernel: LoopKernel, prefix: str = "repro_"
-) -> tuple[str, list, str, dict]:
-    """(entry functions for one kernel, lane-scalar names, vector entry
-    status, elision info) — everything in the translation unit except
-    the shared prelude.  Exported symbols are ``{prefix}scalar`` and
-    (when supported) ``{prefix}vector``; batched units give each member
-    a distinct prefix so N kernels share one ``cc`` invocation.
-
-    The scalar entry is mandatory — a refusal there propagates and no
-    artifact is built.  The vector entry is best-effort: its refusal is
-    recorded as ``unsupported: why`` in the sidecar meta.
-
-    With range analysis enabled and at least one contract-proven
-    gather/scatter, the scalar entry becomes a dispatcher: a runtime
-    contract scan picks an unguarded fast body (raw indirect indices,
-    no oob plumbing) or the fully guarded body — bit-identical either
-    way, since the scan proves exactly what the elided checks would
-    have verified per element.
-    """
-    bounds, guards = _ranges_info(kernel)
-    fast = _CEmitter(
-        kernel, vector=False, bounds=bounds, guards=guards, fast=True
-    )
-    fast_src = fast.gen_scalar(name=f"{prefix}scalar_fast", static=True)
-    # Profitability gate (cost model, not soundness): the dispatcher
-    # pays a per-call contract scan, which only amortizes when a *load*
-    # check is elided — a gathered load's bounds check sits on the
-    # critical path and blocks vectorization of the whole body, while a
-    # scatter store's check overlaps with the store latency and is
-    # effectively free.  A scatter is tolerated only as the store half
-    # of a read-modify-write of an elided load (same array, same index
-    # expression: the line is already resident); an independent scatter
-    # stream keeps the plain guarded body — measured on the suite,
-    # eliding those is a net loss.
-    loads = {ev[1:] for ev in fast.elide_events if not ev[0]}
-    stores = [ev[1:] for ev in fast.elide_events if ev[0]]
-    profitable = bool(loads) and all(s in loads for s in stores)
-    if profitable:
-        # The unguarded body has no early exits left; let it vectorize.
-        fast_src = "REPRO_VECLOOP\n" + fast_src
-        guarded_src = _CEmitter(
-            kernel, vector=False, bounds=bounds, guards=guards
-        ).gen_scalar(name=f"{prefix}scalar_guarded", static=True)
-        contract_src = _emit_contract_fn(
-            kernel, fast.contract_checks, name=f"{prefix}contract_ok"
-        )
-        scalar_src = "\n\n".join(
-            [guarded_src, fast_src, contract_src, _dispatch_src(prefix)]
-        )
-        elided = {
-            "gathers": fast.elided_gathers,
-            "shifts": fast.elided_shifts,
-            "folded_guards": fast.folded_guards,
-        }
-    else:
-        plain = _CEmitter(kernel, vector=False, bounds=bounds, guards=guards)
-        scalar_src = plain.gen_scalar(name=f"{prefix}scalar")
-        elided = {
-            "gathers": 0,
-            "shifts": plain.elided_shifts,
-            "folded_guards": plain.folded_guards,
-        }
-    lanes = _lane_scalars(kernel)
-    try:
-        vector_src = _CEmitter(
-            kernel, vector=True, lanes=frozenset(lanes), guards=guards
-        ).gen_vector(name=f"{prefix}vector")
-        vector_status = "candidate"
-    except NativeUnsupported as exc:
-        vector_src = ""
-        vector_status = f"unsupported: {exc}"
-    if vector_src:
-        scalar_src += "\n\n" + vector_src
-    return scalar_src, sorted(lanes), vector_status, elided
-
-
-def _emit_translation_unit(kernel: LoopKernel) -> tuple[str, list, str, dict]:
-    """One-kernel TU: shared prelude + the kernel's entry functions."""
-    body, lanes, vector_status, elided = _emit_kernel_body(kernel)
-    header = f"/* kernel {kernel.name!r} — generated by repro.sim.native */\n"
-    return header + _PRELUDE + "\n" + body + "\n", lanes, vector_status, elided
-
-
-# ---------------------------------------------------------------------------
-# Artifact cache: build once (flock + atomic install), attach many
-# ---------------------------------------------------------------------------
-
-
-def _paths(root: str, nfp: str) -> dict[str, str]:
-    return {
-        "so": os.path.join(root, nfp + ".so"),
-        "meta": os.path.join(root, nfp + ".json"),
-        "c": os.path.join(root, nfp + ".c"),
-        "lock": os.path.join(root, nfp + ".lock"),
-    }
-
-
-def _evict(root: str, nfp: str) -> None:
-    # The .lock file is deliberately left in place: another process may
-    # hold an flock on it, and unlinking would let a third process
-    # create a second lock file — two winners of a one-build race.
-    p = _paths(root, nfp)
-    for key in ("so", "meta", "c"):
-        try:
-            os.unlink(p[key])
-        except OSError:
-            pass
-
-
-def _prune(root: str) -> None:
-    """LRU-bound the artifact cache by ``.so`` mtime."""
-    cap = native_cache_max()
-    try:
-        sos = [
-            f
-            for f in os.listdir(root)
-            if f.endswith(".so") and not f.startswith(".")
-        ]
-    except OSError:
-        return
-    if len(sos) <= cap:
-        return
-
-    def mtime(f: str) -> float:
-        try:
-            return os.path.getmtime(os.path.join(root, f))
-        except OSError:
-            return 0.0
-
-    sos.sort(key=mtime)
-    for f in sos[: len(sos) - cap]:
-        _evict(root, f[:-3])
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _load_meta(root: str, nfp: str, fp: str, tc: Toolchain) -> Optional[dict]:
-    """Validated sidecar meta, or None (evicting anything corrupt).
-
-    Corruption-safe by construction: a truncated ``.so``, a foreign
-    file, a half-installed pair (``.so`` without meta or vice versa),
-    or unparsable JSON is evicted and reported as a miss — never fatal.
-    """
-    p = _paths(root, nfp)
-    # Meta first: batch members have no ``<nfp>.so`` of their own — the
-    # meta's ``so`` key names the shared ``batch-*.so`` they live in.
-    if not os.path.exists(p["meta"]):
-        if os.path.exists(p["so"]):
-            _evict(root, nfp)  # half-install: .so without meta
-        return None
-    try:
-        with open(p["meta"]) as fh:
-            meta = json.load(fh)
-        ok = (
-            isinstance(meta, dict)
-            and meta.get("schema") == NATIVE_SCHEMA
-            and meta.get("kernel_fp") == fp
-            and meta.get("toolchain") == tc.identity
-        )
-        if ok:
-            so_path = _so_path(root, nfp, meta)
-            ok = os.path.exists(so_path) and meta.get(
-                "so_sha256"
-            ) == _sha256_file(so_path)
-    except (OSError, ValueError):
-        ok = False
-    if not ok:
-        # Evicts the member's own files only; a shared batch .so other
-        # members still reference is never unlinked here (LRU pruning
-        # owns its lifetime, and orphaned members self-evict as misses).
-        _evict(root, nfp)
-        return None
-    return meta
-
-
-def _so_path(root: str, nfp: str, meta: dict) -> str:
-    """The shared object a validated meta points at (own or batch)."""
-    return os.path.join(root, meta.get("so") or (nfp + ".so"))
-
-
-def _build_artifact(
-    kernel: LoopKernel, fp: str, tc: Toolchain, root: str, nfp: str
-) -> dict:
-    """Emit, compile, verify, and atomically install one artifact.
-
-    Serialized across processes by an exclusive ``flock`` on the
-    per-artifact lock file (auto-released if the holder dies);
-    re-checks the cache after acquiring so the losers of a build race
-    attach the winner's artifact instead of rebuilding.
-    """
-    t0 = time.perf_counter()
-    p = _paths(root, nfp)
-    with open(p["lock"], "w") as lk:
-        fcntl.flock(lk.fileno(), fcntl.LOCK_EX)
-        meta = _load_meta(root, nfp, fp, tc)
-        if meta is not None:
-            return meta
-        try:
-            source, lanes, vector_status, elided = _emit_translation_unit(
-                kernel
-            )
-        except NativeUnsupported:
-            raise
-        except Exception as exc:
-            raise NativeUnsupported(f"codegen failed: {exc!r}") from exc
-        _atomic_write_text(p["c"], source)
-        tmp_so = os.path.join(root, f".{nfp}.{os.getpid()}.so.tmp")
-        try:
-            compile_shared(tc, p["c"], tmp_so)
-            # Verify on the tmp library (unique path → guaranteed-fresh
-            # dlopen) before anything is installed.
-            lib = ctypes.CDLL(tmp_so)
-            runner = _make_scalar_runner(lib, kernel)
-            verdict, detail = _verify_scalar(kernel, fp, runner)
-            if vector_status == "candidate":
-                try:
-                    vrun = _make_vector_runner(lib, kernel, frozenset(lanes))
-                    vector_status = _verify_vector(kernel, vrun)
-                except Exception as exc:
-                    vector_status = f"unsupported: wrapper failed ({exc!r})"
-            os.replace(tmp_so, p["so"])
-        finally:
-            try:
-                os.unlink(tmp_so)
-            except OSError:
-                pass
-        meta = {
-            "schema": NATIVE_SCHEMA,
-            "kernel": kernel.name,
-            "kernel_fp": fp,
-            "toolchain": tc.identity,
-            "so_sha256": _sha256_file(p["so"]),
-            "scalar": verdict,
-            "scalar_detail": detail,
-            "vector": vector_status,
-            "lanes": lanes,
-            "elided": elided,
-        }
-        # Meta is installed last: a .so without meta is treated as a
-        # half-install and evicted, never trusted.
-        _atomic_write_text(p["meta"], json.dumps(meta, indent=1, sort_keys=True))
-    _compile._STATS.native_build_s += time.perf_counter() - t0
-    return meta
-
-
-# ---------------------------------------------------------------------------
-# Batched builds: N kernels per translation unit, one cc invocation
-# ---------------------------------------------------------------------------
-
-
-def prebuild_native(kernels) -> dict[str, str]:
-    """Batch-compile native artifacts for ``kernels`` ahead of a sweep.
-
-    Renders up to :func:`native_batch_size` kernels into one
-    translation unit and invokes ``cc`` once per batch — the dominant
-    cost of a corpus-cold sweep is the per-kernel compiler process, so
-    this is where the ≥3× corpus throughput comes from.  Every member
-    keeps the single-kernel contract: its own fingerprint-keyed sidecar
-    meta (pointing at the shared ``batch-*.so`` via the ``so`` key and
-    at its symbols via ``prefix``), its own interpreter self-check
-    before install, and individual demotion — a mismatching member is
-    recorded demoted without poisoning its batchmates.
-
-    Returns ``{kernel.name: status}`` where status is ``"cached"``
-    (artifact already present), a self-check verdict (``"exact"`` /
-    ``"tolerance"`` / ``"mismatch"``), ``"unsupported: …"`` (static
-    codegen refusal — the per-kernel path will memoize the failure), or
-    ``"deferred: …"`` (batch compile failed; members fall back to
-    per-kernel builds on demand, isolating any culprit).  Best-effort
-    by design: an empty result simply means every kernel takes the
-    per-kernel path.
-    """
-    out: dict[str, str] = {}
-    if not native_enabled() or native_batch_size() <= 1:
-        return out
-    tc = find_toolchain()
-    if tc is None:
-        return out
-    root = native_cache_dir()
-    os.makedirs(root, exist_ok=True)
-    todo: list[tuple[LoopKernel, str, str]] = []
-    seen_nfp: set[str] = set()
-    for kern in kernels:
-        fp = _compile._cache_fp(kern)
-        nfp = _native_fingerprint(fp, tc)
-        if nfp in seen_nfp:
-            out[kern.name] = "cached"
-            continue
-        if nfp in _ATTACHED or os.path.exists(_paths(root, nfp)["meta"]):
-            out[kern.name] = "cached"
-            seen_nfp.add(nfp)
-            continue
-        seen_nfp.add(nfp)
-        todo.append((kern, fp, nfp))
-    size = native_batch_size()
-    for start in range(0, len(todo), size):
-        out.update(_build_batch(todo[start : start + size], tc, root))
-    return out
-
-
-def _build_batch(
-    members: list, tc: Toolchain, root: str
-) -> dict[str, str]:
-    """Emit, compile, verify, and install one batched translation unit."""
-    t0 = time.perf_counter()
-    statuses: dict[str, str] = {}
-    emitted = []
-    for j, (kern, fp, nfp) in enumerate(members):
-        prefix = f"k{j}_"
-        try:
-            body, lanes, vstatus, elided = _emit_kernel_body(kern, prefix)
-        except NativeUnsupported as exc:
-            statuses[kern.name] = f"unsupported: {exc}"
-            continue
-        except Exception as exc:
-            statuses[kern.name] = f"unsupported: codegen failed {exc!r}"
-            continue
-        emitted.append((kern, fp, nfp, prefix, body, lanes, vstatus, elided))
-    if not emitted:
-        return statuses
-    bfp = hashlib.sha256(
-        "|".join(nfp for _k, _f, nfp, *_rest in emitted).encode()
-    ).hexdigest()[:40]
-    tag = f"batch-{bfp}"
-    p = _paths(root, tag)
-    with open(p["lock"], "w") as lk:
-        fcntl.flock(lk.fileno(), fcntl.LOCK_EX)
-        if all(
-            os.path.exists(_paths(root, nfp)["meta"])
-            for _k, _f, nfp, *_rest in emitted
-        ):
-            # A concurrent builder won the race for every member.
-            for kern, _fp, _nfp, *_rest in emitted:
-                statuses[kern.name] = "cached"
-            return statuses
-        header = (
-            f"/* batch of {len(emitted)} kernels — "
-            "generated by repro.sim.native */\n"
-        )
-        parts = [header + _PRELUDE]
-        for kern, _fp, _nfp, _prefix, body, *_rest in emitted:
-            parts.append(f"/* kernel {kern.name!r} */\n" + body)
-        _atomic_write_text(p["c"], "\n\n".join(parts) + "\n")
-        tmp_so = os.path.join(root, f".{tag}.{os.getpid()}.so.tmp")
-        try:
-            try:
-                compile_shared(tc, p["c"], tmp_so)
-            except ToolchainError as exc:
-                # The combined TU failed to build.  Defer every member
-                # to the per-kernel path, which isolates any culprit
-                # with its own diagnostics.
-                for kern, _fp, _nfp, *_rest in emitted:
-                    statuses[kern.name] = f"deferred: {exc.detail()}"
-                return statuses
-            lib = ctypes.CDLL(tmp_so)
-            checked = []
-            for kern, fp, nfp, prefix, _body, lanes, vstatus, elided in emitted:
-                runner = _make_scalar_runner(
-                    lib, kern, symbol=f"{prefix}scalar"
-                )
-                verdict, detail = _verify_scalar(kern, fp, runner)
-                if vstatus == "candidate":
-                    try:
-                        vrun = _make_vector_runner(
-                            lib, kern, frozenset(lanes), symbol=f"{prefix}vector"
-                        )
-                        vstatus = _verify_vector(kern, vrun)
-                    except Exception as exc:
-                        vstatus = f"unsupported: wrapper failed ({exc!r})"
-                checked.append(
-                    (kern, fp, nfp, prefix, lanes, vstatus, elided, verdict, detail)
-                )
-            os.replace(tmp_so, p["so"])
-        finally:
-            try:
-                os.unlink(tmp_so)
-            except OSError:
-                pass
-        so_sha = _sha256_file(p["so"])
-        for kern, fp, nfp, prefix, lanes, vstatus, elided, verdict, detail in checked:
-            meta = {
-                "schema": NATIVE_SCHEMA,
-                "kernel": kern.name,
-                "kernel_fp": fp,
-                "toolchain": tc.identity,
-                "so": f"{tag}.so",
-                "prefix": prefix,
-                "so_sha256": so_sha,
-                "scalar": verdict,
-                "scalar_detail": detail,
-                "vector": vstatus,
-                "lanes": lanes,
-                "elided": elided,
-            }
-            _atomic_write_text(
-                _paths(root, nfp)["meta"],
-                json.dumps(meta, indent=1, sort_keys=True),
-            )
-            statuses[kern.name] = verdict
-    _compile._STATS.native_build_s += time.perf_counter() - t0
-    _prune(root)
-    return statuses
-
-
-def _attach(kernel: LoopKernel, fp: str, tc: Toolchain, nfp: str):
-    """Memoized attach: load (building if needed) the kernel's artifact."""
-    hit = _ATTACHED.get(nfp)
-    if hit is not None:
-        return hit
-    root = native_cache_dir()
-    os.makedirs(root, exist_ok=True)
-    result = None
-    for attempt in (0, 1):
-        try:
-            meta = _load_meta(root, nfp, fp, tc)
-            if meta is None:
-                meta = _build_artifact(kernel, fp, tc, root, nfp)
-        except NativeUnsupported as exc:
-            _diag(kernel, f"-Rpass-missed=native: {exc}")
-            result = _Failure(str(exc))
-            break
-        except ToolchainError as exc:
-            _diag(kernel, f"native build failed: {exc.detail()}", warning=True)
-            result = _Failure(exc.detail())
-            break
-        so_path = _so_path(root, nfp, meta)
-        try:
-            lib = ctypes.CDLL(so_path)
-            result = _module_from(lib, meta, kernel)
-        except (OSError, AttributeError) as exc:
-            # Unloadable artifact (truncated by a crash, foreign file,
-            # a batch .so missing this member's symbols): evict and
-            # rebuild once, then give up gracefully.
-            _evict(root, nfp)
-            if attempt == 0:
-                continue
-            _diag(
-                kernel,
-                f"native artifact unloadable after rebuild: {exc!r}",
-                warning=True,
-            )
-            result = _Failure(f"artifact unloadable: {exc!r}")
-        break
-    assert result is not None
-    if isinstance(result, _NativeModule):
-        try:
-            os.utime(_so_path(root, nfp, result.meta))  # LRU recency
-        except OSError:
-            pass
-        _prune(root)
-    _ATTACHED[nfp] = result
-    return result
-
-
-def _module_from(lib, meta: dict, kernel: LoopKernel) -> _NativeModule:
-    prefix = meta.get("prefix") or "repro_"
-    scalar_run = _make_scalar_runner(lib, kernel, symbol=f"{prefix}scalar")
-    lanes = frozenset(meta.get("lanes", ()))
-    vector_run = None
-    if meta.get("vector") == "exact":
-        vector_run = _make_vector_runner(
-            lib, kernel, lanes, symbol=f"{prefix}vector"
-        )
-    return _NativeModule(lib, meta, scalar_run, vector_run, lanes)
-
-
-# ---------------------------------------------------------------------------
-# ctypes wrappers
-# ---------------------------------------------------------------------------
-
-_I64P = ctypes.POINTER(ctypes.c_int64)
-_VOIDPP = ctypes.POINTER(ctypes.c_void_p)
-
-
-def _data_ptr(arr: np.ndarray) -> int:
-    # ~3x cheaper than arr.ctypes.data (which builds a helper object
-    # per access); read-only arrays fall back to the slow path.
-    try:
-        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
-    except (TypeError, ValueError):
-        return arr.ctypes.data
-
-
-def _marshal_bufs(arr_decls, bufs):
-    n = len(arr_decls)
-    bufp = (ctypes.c_void_p * max(1, n))()
-    for j, (name, decl) in enumerate(arr_decls):
-        arr = bufs.get(name)
-        if (
-            not isinstance(arr, np.ndarray)
-            or arr.dtype != NP_DTYPE[decl.dtype]
-            or not arr.flags["C_CONTIGUOUS"]
-        ):
-            raise CompileError(f"native marshal: buffer {name!r} unusable")
-        bufp[j] = _data_ptr(arr)
-    return bufp
-
-
-def _make_scalar_runner(lib, kernel: LoopKernel, symbol: str = "repro_scalar"):
-    """Wrap the scalar entry in the CompiledKernel ``fn`` calling
-    convention: ``fn(bufs, env, inner_trip, outer_trip) -> (env_out,
-    (order, seen, taken), iterations)``."""
-    fn = getattr(lib, symbol)
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [_VOIDPP, _VOIDPP, ctypes.c_int64, ctypes.c_int64] + [
-        _I64P
-    ] * 6
-    arr_decls = list(kernel.arrays.items())
-    sc_decls = list(kernel.scalars.items())
-    ng = sum(1 for s in kernel.stmts() if isinstance(s, IfBlock))
-    name = kernel.name
-
-    # Scratch hoisted out of the per-call path: the ctypes pointer
-    # casts (``data_as``) dominate warm-call overhead, so allocate the
-    # bookkeeping arrays and scalar cells once per attached kernel.
-    # Sound because execution is never re-entrant and suite parallelism
-    # is process-based, so a closure is only ever driven by one thread.
-    m = max(1, ng)
-    gseen = np.zeros(m, np.int64)
-    gtaken = np.zeros(m, np.int64)
-    gorder = np.zeros(m, np.int64)
-    gcount = np.zeros(1, np.int64)
-    fires = np.zeros(1, np.int64)
-    oob = np.zeros(1, np.int64)
-    book = (gseen, gtaken, gorder, gcount, fires, oob)
-    book_ptrs = tuple(x.ctypes.data_as(_I64P) for x in book)
-    cells = [
-        (sname, np.empty(1, dtype=NP_DTYPE[decl.dtype]))
-        for sname, decl in sc_decls
-    ]
-    scp = (ctypes.c_void_p * max(1, len(sc_decls)))()
-    for j, (_sname, cell) in enumerate(cells):
-        scp[j] = cell.ctypes.data
-    # Buffer-pointer cache keyed on array *identity*: holding strong
-    # references means a default ``resize()`` (refcheck=True) on a
-    # cached buffer raises rather than silently moving its data.
-    cached_arrs: tuple = ()
-    cached_bufp = None
-
-    def run(bufs, env, inner_trip, outer_trip):
-        nonlocal cached_arrs, cached_bufp
-        arrs = tuple(bufs.get(an) for an, _d in arr_decls)
-        if (
-            cached_bufp is not None
-            and len(arrs) == len(cached_arrs)
-            and all(a is b for a, b in zip(arrs, cached_arrs))
-        ):
-            bufp = cached_bufp
-        else:
-            bufp = _marshal_bufs(arr_decls, bufs)
-            cached_arrs, cached_bufp = arrs, bufp
-        for sname, cell in cells:
-            try:
-                cell[0] = env[sname]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CompileError(
-                    f"native marshal: scalar {sname!r} ({exc})"
-                ) from exc
-        for x in book:
-            x.fill(0)
-        iters = fn(
-            bufp,
-            scp,
-            int(inner_trip),
-            int(outer_trip),
-            *book_ptrs,
-        )
-        if fires[0]:
-            ufuncs.add_sqrt_guard_fires(int(fires[0]))
-        if oob[0]:
-            raise NativeError(
-                f"native kernel {name!r}: index out of bounds "
-                "(buffers may be partially mutated)"
-            )
-        env_out = {sname: cell[0] for sname, cell in cells}
-        order = [int(x) for x in gorder[: int(gcount[0])]]
-        return env_out, (order, gseen[:ng].tolist(), gtaken[:ng].tolist()), int(iters)
-
-    return run
-
-
-def _make_vector_runner(
-    lib, kernel: LoopKernel, lanes: frozenset, symbol: str = "repro_vector"
-):
-    """Wrap the vector entry: runs the vectorized lane blocks in place.
-
-    One call executes the full lane blocks of a single inner-loop
-    instance (``outer`` names which one; depth-1 kernels pass 0).
-    Lane-expanded scalars (reductions/privates) are mutated in their
-    numpy arrays; parameters are passed by value.  Raises
-    :class:`CompileError` on marshal problems *before* any mutation, so
-    the caller can silently fall back to the Python block loop.
-    """
-    fn = getattr(lib, symbol)
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [
-        _VOIDPP,
-        _VOIDPP,
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.c_int64,
-    ] + [_I64P] * 2
-    arr_decls = list(kernel.arrays.items())
-    sc_decls = list(kernel.scalars.items())
-    name = kernel.name
-
-    def run(bufs, lane_env, vf, vec_trip, outer=0):
-        bufp = _marshal_bufs(arr_decls, bufs)
-        keep = []
-        lp = (ctypes.c_void_p * max(1, len(sc_decls)))()
-        for j, (sname, decl) in enumerate(sc_decls):
-            v = lane_env.get(sname)
-            if sname in lanes:
-                if (
-                    not isinstance(v, np.ndarray)
-                    or v.dtype != NP_DTYPE[decl.dtype]
-                    or not v.flags["C_CONTIGUOUS"]
-                    or v.size < vf
-                ):
-                    raise CompileError(
-                        f"native marshal: lane scalar {sname!r} unusable"
-                    )
-                lp[j] = v.ctypes.data
-            else:
-                cell = np.empty(1, dtype=NP_DTYPE[decl.dtype])
-                try:
-                    cell[0] = v
-                except (TypeError, ValueError) as exc:
-                    raise CompileError(
-                        f"native marshal: scalar {sname!r} ({exc})"
-                    ) from exc
-                keep.append(cell)
-                lp[j] = cell.ctypes.data
-        fires = np.zeros(1, np.int64)
-        oob = np.zeros(1, np.int64)
-        fn(
-            bufp,
-            lp,
-            int(vf),
-            int(vec_trip),
-            int(outer),
-            fires.ctypes.data_as(_I64P),
-            oob.ctypes.data_as(_I64P),
-        )
-        if fires[0]:
-            ufuncs.add_sqrt_guard_fires(int(fires[0]))
-        if oob[0]:
-            raise NativeError(
-                f"native kernel {name!r}: index out of bounds "
-                "(buffers may be partially mutated)"
-            )
-
-    return run
-
-
-# ---------------------------------------------------------------------------
-# Build-time verification
-# ---------------------------------------------------------------------------
-
-
-def _within_tolerance(ref, ref_bufs, got, got_bufs) -> bool:
-    """Exact guards/iterations/ints; floats within a tight tolerance."""
-    if (
-        ref.guard_probs != got.guard_probs
-        or ref.iterations != got.iterations
-        or set(ref_bufs) != set(got_bufs)
-        or set(ref.scalars) != set(got.scalars)
-    ):
-        return False
-
-    def close(x, y) -> bool:
-        x, y = np.asarray(x), np.asarray(y)
-        if x.dtype != y.dtype or x.shape != y.shape:
-            return False
-        if not np.issubdtype(x.dtype, np.floating):
-            return x.tobytes() == y.tobytes()
-        return bool(
-            np.allclose(
-                x.astype(np.float64),
-                y.astype(np.float64),
-                rtol=1e-4,
-                atol=1e-6,
-                equal_nan=True,
-            )
-        )
-
-    return all(close(ref_bufs[k], got_bufs[k]) for k in ref_bufs) and all(
-        close(ref.scalars[n], got.scalars[n]) for n in ref.scalars
-    )
-
-
-def _verify_scalar(kernel: LoopKernel, fp: str, runner) -> tuple[str, str]:
-    """Interpreter-vs-native check → ('exact'|'tolerance'|'mismatch', why)."""
-    ck = CompiledKernel(fp, "native", runner)
-    try:
-        ref_bufs = make_buffers(kernel, seed=0)
-        got_bufs = {k: v.copy() for k, v in ref_bufs.items()}
-        ref = run_scalar_interpreted(kernel, ref_bufs, None, _NATIVE_CHECK_ITERS)
-        got = _compile._execute(ck, kernel, got_bufs, None, _NATIVE_CHECK_ITERS)
-    except Exception as exc:
-        return "mismatch", f"native execution failed: {exc!r}"
-    if _compile.bit_identical(ref, ref_bufs, got, got_bufs):
-        return "exact", ""
-    if _within_tolerance(ref, ref_bufs, got, got_bufs):
-        return "tolerance", "float results within rtol=1e-4 (libm drift)"
-    return "mismatch", "self-check mismatch vs interpreter"
-
-
-def _verify_vector(kernel: LoopKernel, vrun) -> str:
-    """Compare the native vector entry against ``_exec_stmts_vector``
-    block-by-block on identical inputs → 'exact' | 'mismatch' |
-    'unsupported: why'.  Only 'exact' is ever used.
-
-    Depth-2 kernels run several outer-loop instances so outer-indexed
-    subscripts are exercised (both sides skip the scalar tail, so the
-    comparison stays apples-to-apples)."""
-    from ..analysis.framework.passmanager import default_manager
-
-    trip = kernel.inner.trip
-    vf = min(4, trip)
-    if vf < 1:
-        return "unsupported: zero-trip loop"
-    vec_trip = min(trip - trip % vf, 4 * vf)
-    if vec_trip <= 0:
-        return "unsupported: no full lane block"
-    outer_trip = 1 if kernel.depth == 1 else kernel.loops[0].trip
-    outer_vals = range(min(outer_trip, 3))
-    try:
-        infos = default_manager().get("scalars", kernel)
-        env_in = initial_scalars(kernel)
-        ref_bufs = make_buffers(kernel, seed=0)
-        got_bufs = {k: v.copy() for k, v in ref_bufs.items()}
-        ref_env, _ = make_lane_env(kernel, infos, env_in, vf)
-        got_env, _ = make_lane_env(kernel, infos, env_in, vf)
-        with np.errstate(all="ignore"):
-            for o in outer_vals:
-                for start in range(0, vec_trip, vf):
-                    lanes_arr = np.arange(start, start + vf)
-                    ivals = (
-                        (lanes_arr,) if kernel.depth == 1 else (o, lanes_arr)
-                    )
-                    ctx = _Ctx(ref_bufs, ref_env, ivals)
-                    _exec_stmts_vector(kernel, kernel.body, ctx, None, vf)
-        for o in outer_vals:
-            vrun(got_bufs, got_env, vf, vec_trip, outer=o)
-    except Exception as exc:
-        return f"unsupported: vector execution failed ({exc!r})"
-    for bname in ref_bufs:
-        if ref_bufs[bname].tobytes() != got_bufs[bname].tobytes():
-            return "mismatch"
-    for sname in kernel.scalars:
-        rv, gv = np.asarray(ref_env[sname]), np.asarray(got_env[sname])
-        if rv.dtype != gv.dtype or rv.tobytes() != gv.tobytes():
-            return "mismatch"
-    return "exact"
-
-
-# ---------------------------------------------------------------------------
-# Public API: the tier ladder hooks
-# ---------------------------------------------------------------------------
-
-
-def native_compiled(
-    kernel: LoopKernel, fp: str, forced: bool = False
-) -> Optional[CompiledKernel]:
-    """The kernel's native CompiledKernel, or None (tier unavailable,
-    static refusal, or self-check demotion).
-
-    ``forced=True`` (``get_compiled(kernel, "native")``) turns every
-    None into a :class:`CompileError` explaining why.
-    """
-    if not native_enabled():
-        if forced:
-            raise CompileError("native tier disabled (REPRO_NATIVE=0)")
-        return None
-    tc = find_toolchain()
-    if tc is None:
-        _note_degraded(kernel)
-        if forced:
-            raise CompileError(
-                f"no usable C toolchain ({toolchain_failure() or 'unknown'})"
-            )
-        return None
-    nfp = _native_fingerprint(fp, tc)
-    mod = _attach(kernel, fp, tc, nfp)
-    if isinstance(mod, _Failure):
-        if forced:
-            raise CompileError(f"native tier refused: {mod.reason}")
-        return None
-    verdict = mod.meta.get("scalar")
-    if verdict == "exact" or (verdict == "tolerance" and tolerance_enabled()):
-        elided = mod.meta.get("elided") or {}
-        if elided.get("gathers"):
-            _diag(
-                kernel,
-                f"-Rpass=bounds: native fast body elides "
-                f"{elided['gathers']} gather/scatter bounds check(s); "
-                "a runtime contract scan selects it over the guarded body",
-            )
-        return CompiledKernel(
-            fp, "native", mod.scalar_run, source="", reason=f"native ({verdict})"
-        )
-    detail = mod.meta.get("scalar_detail") or verdict
-    _compile._STATS.native_demoted += 1
-    if verdict == "tolerance":
-        _diag(
-            kernel,
-            "-Rpass-missed=native: demoted to the NumPy tier "
-            f"({detail}; set REPRO_NATIVE_TOLERANCE=1 to accept)",
-        )
-    else:
-        _diag(
-            kernel,
-            f"-Rpass-missed=native: demoted to the NumPy tier ({detail})",
-            warning=True,
-        )
-    if forced:
-        raise CompileError(f"native self-check demotion: {detail}")
-    return None
-
-
-def try_run_vector_blocks(plan, bufs, lane_env, vf, vec_trip, outer=0) -> bool:
-    """Run ``run_vector``'s full-block loop natively, if possible.
-
-    One call covers the full lane blocks of a single inner-loop
-    instance — ``outer`` names which one (depth-1 callers pass 0; the
-    executor calls once per outer iteration so the Python scalar tail
-    can run between rows, as cross-row dependences require).
-
-    Returns False — with *no* buffer mutation — on any refusal
-    (tier disabled, no toolchain, no verified vector entry, lane
-    classification mismatch with the baked artifact, marshal problems);
-    the caller falls back to the Python block loop.  On True the blocks
-    have executed: buffers and lane-expanded scalars are updated in
-    place, bit-identically to the Python path.
-    """
-    kernel = plan.kernel
-    if (
-        not native_enabled()
-        or kernel.depth > 2
-        or vf > _VF_MAX
-        or vec_trip <= 0
-    ):
-        return False
-    tc = find_toolchain()
-    if tc is None:
-        _note_degraded(kernel)
-        return False
-    fp = _compile._cache_fp(kernel)
-    mod = _attach(kernel, fp, tc, _native_fingerprint(fp, tc))
-    if isinstance(mod, _Failure) or mod.vector_run is None:
-        return False
-    plan_lanes = {
-        n
-        for n, i in plan.scalar_info.items()
-        if i.klass in (ScalarClass.REDUCTION, ScalarClass.PRIVATE)
-    }
-    if plan_lanes != set(mod.lanes):
-        return False
-    try:
-        mod.vector_run(bufs, lane_env, vf, vec_trip, outer=outer)
-    except CompileError:
-        return False
-    _compile._STATS.runs_native_vector += 1
-    return True
+def prebuild_native(kernels) -> dict:
+    """Build nothing; returns an empty ``{kernel name: status}`` map."""
+    return {}

@@ -1,10 +1,7 @@
 """The one table of numpy ufuncs behind every IR operator.
 
-Both executors — the tree-walking interpreter in :mod:`.executor` and
-the kernel compiler in :mod:`.compile` — evaluate IR operators through
-the tables below.  Keeping a single table is what makes the suite-wide
-bit-identity property testable at all: there is no second copy of the
-operator semantics that could drift.
+The interpreter in :mod:`.executor` evaluates IR operators through the
+tables below, in both its scalar and its lane-parallel mode.
 
 ``SQRT`` deserves its note: C's ``sqrtf`` on a negative input returns
 NaN, which would poison every downstream comparison and reduction in a
@@ -54,28 +51,11 @@ def sqrt_guard_fires() -> int:
     return _SQRT_GUARD_FIRES
 
 
-def reset_sqrt_guard_fires() -> None:
-    global _SQRT_GUARD_FIRES
-    _SQRT_GUARD_FIRES = 0
-
-
-def add_sqrt_guard_fires(n: int) -> None:
-    """Fold fires counted outside this table into the process counter.
-
-    The native tier (:mod:`.native`) counts guard hits inside compiled
-    C code and reports them back here, so the executor's remark logic
-    stays tier-independent.
-    """
-    global _SQRT_GUARD_FIRES
-    _SQRT_GUARD_FIRES += int(n)
-
-
 def cast_value(x, target):
     """Cast ``x`` to the numpy ``target`` type with C conversion rules.
 
-    The single cast primitive both executors share: scalars stay
-    scalars, arrays stay arrays, and a value already of ``target`` type
-    passes through untouched (bit-identical).
+    Scalars stay scalars, arrays stay arrays, and a value already of
+    ``target`` type passes through untouched (bit-identical).
     """
     arr = np.asarray(x)
     if arr.dtype == target:
@@ -113,15 +93,4 @@ CMPS = {
     CmpKind.GE: np.greater_equal,
     CmpKind.EQ: np.equal,
     CmpKind.NE: np.not_equal,
-}
-
-#: Sequential in-dtype accumulators for the reduction fold.  The
-#: ``accumulate`` form is defined element-by-element (r[k] = r[k-1] ⊕
-#: x[k]) — unlike ``reduce``, which numpy may evaluate pairwise — so a
-#: fold through it reproduces the scalar loop's rounding exactly.
-ACCUMULATORS = {
-    BinOpKind.ADD: np.add.accumulate,
-    BinOpKind.MUL: np.multiply.accumulate,
-    BinOpKind.MIN: np.minimum.accumulate,
-    BinOpKind.MAX: np.maximum.accumulate,
 }

@@ -16,7 +16,6 @@ from .loocv import (
     kfold_predictions,
     loocv_predictions,
     svr_warm_disabled,
-    warm_nnls_eligible,
     warm_svr_eligible,
 )
 from .decisions import (
@@ -40,7 +39,6 @@ __all__ = [
     "kfold_predictions",
     "loocv_predictions",
     "fast_loocv_eligible",
-    "warm_nnls_eligible",
     "warm_svr_eligible",
     "svr_warm_disabled",
     "PolicyOutcome",

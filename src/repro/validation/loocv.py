@@ -11,19 +11,13 @@ factorization through the hat-matrix identity
 
 where ``h`` is the diagonal of the smoother X(XᵀX + λI)⁻¹Xᵀ.
 
-NNLS folds get a cheaper loop of their own: each deleted-row problem is
-warm-started from the full fit's active set (one restricted ``lstsq``
-plus a KKT certificate, see :func:`repro.fitting.nnls.nnls_warm_start`)
-and only the folds whose certificate fails pay for a cold Lawson–Hanson
-solve.
-
 SVR folds are warm-started from a polished full fit and certified via
 strong convexity (see :func:`repro.fitting.svr.svr_warm_loocv`); folds
 whose certificate fails are refit cold, so every prediction is still a
 true per-fold optimum.
 
-The refit loop remains the generic fallback for custom models and for
-rows no fast path can certify.  For the built-in speedup-model family
+The refit loop handles NNLS and custom models, and the rows no fast
+path can certify.  For the built-in speedup-model family
 it deletes rows from the shared cached feature matrix (one boolean
 mask per fold) instead of rebuilding O(N²) sample sublists.
 """
@@ -39,7 +33,6 @@ from ..costmodel.base import EPS, FittedModel, Sample
 from ..costmodel.speedup import SpeedupModel
 from ..fitting.base import FitError, check_Xy
 from ..fitting.l2 import LeastSquares
-from ..fitting.nnls import NonNegativeLeastSquares, nnls_warm_start
 from ..fitting.svr import LinearSVR, svr_warm_loocv
 
 ModelFactory = Callable[[], FittedModel]
@@ -85,8 +78,6 @@ def loocv_predictions(
         preds = None
         if fast_loocv_eligible(probe):
             preds = _fast_l2_predictions(probe, samples)
-        elif warm_nnls_eligible(probe):
-            preds = _warm_nnls_predictions(probe, samples)
         elif warm_svr_eligible(probe):
             preds = _warm_svr_predictions(probe, samples, stats)
         if preds is not None:
@@ -101,14 +92,6 @@ def loocv_predictions(
 def fast_loocv_eligible(model: FittedModel) -> bool:
     """The hat-matrix path handles exactly the L2 speedup models."""
     return isinstance(model, SpeedupModel) and type(model.regressor) is LeastSquares
-
-
-def warm_nnls_eligible(model: FittedModel) -> bool:
-    """The warm-start path handles exactly the NNLS speedup models."""
-    return (
-        isinstance(model, SpeedupModel)
-        and type(model.regressor) is NonNegativeLeastSquares
-    )
 
 
 def warm_svr_eligible(model: FittedModel) -> bool:
@@ -234,42 +217,6 @@ def _fast_l2_predictions(
     ok = np.abs(denom) > LEVERAGE_TOL
     raw[ok] = (yhat[ok] - h[ok] * y[ok]) / denom[ok]
     raw[~ok] = np.nan
-    return _clip_like_predict(model, raw, samples)
-
-
-def _warm_nnls_predictions(
-    model: SpeedupModel, samples: list[Sample]
-) -> Optional[np.ndarray]:
-    """Out-of-fold NNLS predictions warm-started from the full fit.
-
-    One cold Lawson–Hanson solve fixes the active-set guess; every fold
-    then costs a single restricted ``lstsq`` plus a KKT certificate.
-    Folds whose certificate fails (the deleted row *did* change the
-    active set) are left NaN for the caller's cold-refit fallback, so
-    every prediction comes from a true per-fold NNLS optimum.  On
-    rank-deficient designs the optimum need not be unique: warm and
-    cold solvers can return different minimizers of identical residual
-    norm, so equivalence checks must compare objectives, not weights.
-    """
-    try:
-        X, y = check_Xy(*model.training_data(samples))
-    except FitError:
-        return None
-    full = NonNegativeLeastSquares()
-    try:
-        full.fit(X, y)
-    except FitError:
-        return None
-    support = full.support_
-    n = len(samples)
-    raw = np.full(n, np.nan)
-    mask = np.ones(n, dtype=bool)
-    for i in range(n):
-        mask[i] = False
-        w = nnls_warm_start(X[mask], y[mask], support, validate=False)
-        mask[i] = True
-        if w is not None:
-            raw[i] = float(X[i] @ w)
     return _clip_like_predict(model, raw, samples)
 
 

@@ -162,7 +162,7 @@ def check_legality(
                     f"all {len(bounds.accesses)} access dimensions proven "
                     f"in bounds by range analysis "
                     f"({bounds.gathers_proven} gather/scatter under the "
-                    "data contract); compiled tiers elide runtime checks"
+                    "data contract)"
                 ),
                 args=(
                     ("accesses", str(len(bounds.accesses))),

@@ -1,9 +1,8 @@
-"""Corpus-scale machinery tests: batched native translation units
-(:func:`repro.sim.prebuild_native`), the sharded sweep orchestrator
-(:mod:`repro.pipeline.corpus`), and the E13 plumbing on top.
+"""Corpus-scale machinery tests: the sharded sweep orchestrator
+(:mod:`repro.pipeline.corpus`) and the E13 plumbing on top.
 
-The load-bearing property throughout is *bit-identity*: batching,
-sharding, streaming, and resumption are allowed to change wall-clock
+The load-bearing property throughout is *bit-identity*: sharding,
+streaming, and resumption are allowed to change wall-clock
 and peak memory, never a single measured float.
 """
 
@@ -16,19 +15,10 @@ import pytest
 
 from repro.experiments import ARM_LLV
 from repro.experiments.corpus import corpus_kernel_names, e13_sizes
-from repro.gen import clear_gen_memo, corpus_names, generate_kernel
-from repro.pipeline import (
-    MeasurementCache,
-    estimate_kernel_work,
-    measure_corpus,
-    partition_names,
-)
+from repro.gen import clear_gen_memo, corpus_names
+from repro.pipeline import MeasurementCache, measure_corpus, partition_names
 from repro.pipeline.faultinject import _samples_equal
-from repro.sim import native, prebuild_native
 from repro.tsvc import kernel_names
-
-HAVE_CC = native.find_toolchain() is not None
-needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no usable C toolchain")
 
 
 def nocache() -> MeasurementCache:
@@ -38,10 +28,8 @@ def nocache() -> MeasurementCache:
 @pytest.fixture(autouse=True)
 def _fresh_state():
     clear_gen_memo()
-    native.reset_native_state()
     yield
     clear_gen_memo()
-    native.reset_native_state()
 
 
 class TestPartition:
@@ -125,82 +113,6 @@ class TestShardedBitIdentity:
             supervise=False, cache=nocache(),
         )
         assert len(res.shard_stats) == 2
-
-
-class TestWorkEstimate:
-    def test_batching_amortizes_native_build_cost(self, monkeypatch):
-        from repro.gen import gen_name
-
-        # Guarded kernel: only guard-probability estimation executes
-        # the kernel, so only guarded kernels carry a build term.
-        kern = generate_kernel(gen_name(0, 0, "control-flow"))
-        monkeypatch.setenv("REPRO_NATIVE_BATCH", "1")
-        solo = estimate_kernel_work(kern)
-        monkeypatch.setenv("REPRO_NATIVE_BATCH", "24")
-        batched = estimate_kernel_work(kern)
-        if not native.native_enabled() or not HAVE_CC:
-            pytest.skip("native tier disabled; estimate has no build term")
-        assert batched < solo
-        # The build term shrinks ~linearly with the batch size.
-        assert solo - batched > 1000
-
-
-@needs_cc
-class TestPrebuildNative:
-    def kernels(self, n=6, seed=11):
-        return [generate_kernel(nm) for nm in corpus_names(n, seed=seed)]
-
-    def test_one_so_per_batch(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_NATIVE_BATCH", "8")
-        native.reset_native_state()
-        statuses = prebuild_native(self.kernels())
-        assert statuses
-        assert all(
-            v in ("exact", "tolerance") or v.startswith("unsupported")
-            for v in statuses.values()
-        ), statuses
-        sos = [f for f in os.listdir(tmp_path) if f.endswith(".so")]
-        assert len(sos) == 1 and sos[0].startswith("batch-")
-
-    def test_second_call_is_cached(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_NATIVE_BATCH", "8")
-        native.reset_native_state()
-        kerns = self.kernels()
-        prebuild_native(kerns)
-        native.reset_native_state()
-        again = prebuild_native(kerns)
-        assert set(again.values()) == {"cached"}
-
-    def test_batch_members_run_bit_identical_to_interpreter(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.sim import (
-            bit_identical,
-            initial_scalars,
-            make_buffers,
-            run_scalar,
-            run_scalar_interpreted,
-        )
-
-        monkeypatch.setenv("REPRO_NATIVE_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_NATIVE_BATCH", "8")
-        native.reset_native_state()
-        kerns = self.kernels(4, seed=13)
-        prebuild_native(kerns)
-        for k in kerns:
-            bufs_n = make_buffers(k, seed=2)
-            bufs_i = make_buffers(k, seed=2)
-            res_n = run_scalar(k, bufs_n, initial_scalars(k))
-            res_i = run_scalar_interpreted(k, bufs_i, initial_scalars(k))
-            assert bit_identical(res_n, bufs_n, res_i, bufs_i), k.name
-
-    def test_batch_disabled_by_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_NATIVE_BATCH", "1")
-        native.reset_native_state()
-        assert prebuild_native(self.kernels(3)) == {}
 
 
 class TestChaosCorpusGate:

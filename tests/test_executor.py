@@ -158,6 +158,29 @@ class TestScalarRun:
         assert bufs["a"][0] == np.float32(b0 + np.float32(1e-9))
 
 
+def test_sqrt_guard_emits_remark():
+    """A sqrt over negative inputs must execute as sqrt(|x|) (the C
+    reference links -ffast-math) *and* leave a diagnostics remark."""
+    from repro.analysis.framework.passmanager import default_manager
+
+    def body(k):
+        a = k.array("a", extents=(64,))
+        b = k.array("b", extents=(64,))
+        i = k.loop(64)
+        a[i] = fsqrt(b[i])
+
+    kernel = build("sqrtneg", body)
+    bufs = make_buffers(kernel, seed=0)
+    assert (bufs["b"] < 0).any()  # make_buffers spans [-1, 1]
+    expected = np.sqrt(np.abs(bufs["b"])).astype(np.float32)
+    run_scalar(kernel, bufs)
+    np.testing.assert_array_equal(bufs["a"], expected)
+    remarks = default_manager().diagnostics.remarks(
+        kernel="sqrtneg", pass_name="executor"
+    )
+    assert any("sqrt domain guard fired" in r.message for r in remarks)
+
+
 class TestVectorRun:
     def test_iterations_counted_in_blocks(self):
         def body(k):

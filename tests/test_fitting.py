@@ -14,7 +14,6 @@ from repro.fitting import (
     ScaledRegressor,
     StandardScaler,
     make_regressor,
-    nnls_warm_start,
     residual_norm,
 )
 
@@ -70,51 +69,6 @@ class TestNNLS:
         X, y, _ = synthetic(nonneg=False, noise=0.5)
         reg = NonNegativeLeastSquares().fit(X, y)
         assert np.array_equal(reg.support_, np.nonzero(reg.coef_ > 0)[0])
-
-
-class TestWarmStart:
-    def test_correct_guess_reproduces_optimum(self):
-        X, y, _ = synthetic(nonneg=False, noise=0.5)
-        reg = NonNegativeLeastSquares().fit(X, y)
-        w = nnls_warm_start(X, y, reg.support_)
-        assert w is not None
-        np.testing.assert_allclose(w, reg.coef_, rtol=1e-8, atol=1e-10)
-
-    def test_wrong_guess_is_refused(self):
-        """A support whose restricted solution violates dual feasibility
-        must return None rather than a silently suboptimal fit."""
-        X, y, _ = synthetic(nonneg=True, noise=0.0)
-        # Empty support on data with strictly positive truth: the zero
-        # vector has a strongly negative gradient everywhere.
-        assert nnls_warm_start(X, y, np.array([], dtype=np.intp)) is None
-
-    def test_empty_support_accepted_when_zero_is_optimal(self):
-        X, y, _ = synthetic(nonneg=True, noise=0.0)
-        w = nnls_warm_start(X, -y, np.array([], dtype=np.intp))
-        assert w is not None
-        np.testing.assert_allclose(w, 0.0)
-
-    def test_out_of_range_support_raises(self):
-        X, y, _ = synthetic()
-        with pytest.raises(FitError):
-            nnls_warm_start(X, y, np.array([X.shape[1]]))
-
-    def test_never_returns_suboptimal(self):
-        """Whatever support is guessed, a certified answer matches the
-        cold solver's objective."""
-        import scipy.optimize
-
-        X, y, _ = synthetic(nonneg=False, noise=1.0, seed=7)
-        _, rnorm_cold = scipy.optimize.nnls(X, y)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            support = np.nonzero(rng.random(X.shape[1]) < 0.5)[0]
-            w = nnls_warm_start(X, y, support)
-            if w is None:
-                continue
-            assert (w >= 0).all()
-            rnorm = float(np.linalg.norm(X @ w - y))
-            assert rnorm <= rnorm_cold + 1e-9 * (1.0 + rnorm_cold)
 
 
 class TestSVR:

@@ -6,7 +6,7 @@ import pytest
 from repro.costmodel import RatedSpeedupModel, SpeedupModel
 from repro.fitting import LeastSquares, NonNegativeLeastSquares
 from repro.validation import kfold_predictions, loocv_predictions
-from repro.validation.loocv import fast_loocv_eligible, warm_nnls_eligible
+from repro.validation.loocv import fast_loocv_eligible
 
 from tests.test_costmodel import feat, mk_sample
 
@@ -164,65 +164,6 @@ def test_fast_applies_vf_clipping():
     vfs = np.array([float(s.vf) for s in samples])
     assert (preds <= vfs).all()
     assert (preds > 0).all()
-
-
-def test_nnls_warm_start_matches_refit_loop():
-    """The warm-start path must agree with the cold refit loop."""
-    samples = linear_truth_samples(15, seed=2)
-    preds = loocv_predictions(
-        lambda: SpeedupModel(NonNegativeLeastSquares()), samples
-    )
-    naive = loocv_predictions(
-        lambda: SpeedupModel(NonNegativeLeastSquares()), samples, fast=False
-    )
-    np.testing.assert_allclose(preds, naive, rtol=1e-9, atol=1e-9)
-
-
-def test_nnls_eligibility():
-    assert warm_nnls_eligible(SpeedupModel(NonNegativeLeastSquares()))
-    assert not warm_nnls_eligible(SpeedupModel(LeastSquares()))
-    assert not fast_loocv_eligible(SpeedupModel(NonNegativeLeastSquares()))
-
-
-@pytest.mark.parametrize("spec_name", ["arm", "x86"])
-def test_nnls_warm_optimal_on_suite(spec_name):
-    """On real (rank-deficient) data the NNLS optimum can be non-unique,
-    so equivalence is checked on fold *objectives*: every warm-certified
-    solution must reach the cold Lawson–Hanson residual norm."""
-    import scipy.optimize
-
-    from repro.experiments import ARM_LLV, X86_SLP, build_dataset
-    from repro.fitting.nnls import nnls_warm_start
-
-    ds = build_dataset(ARM_LLV if spec_name == "arm" else X86_SLP)
-    model = SpeedupModel(NonNegativeLeastSquares())
-    X, y = model.training_data(ds.samples)
-    w_full, _ = scipy.optimize.nnls(X, y)
-    support = np.nonzero(w_full > 0.0)[0]
-    mask = np.ones(len(y), dtype=bool)
-    certified = 0
-    for i in range(len(y)):
-        mask[i] = False
-        Xi, yi = X[mask], y[mask]
-        w = nnls_warm_start(Xi, yi, support)
-        mask[i] = True
-        if w is None:
-            continue
-        certified += 1
-        assert (w >= 0.0).all()
-        _, rnorm_cold = scipy.optimize.nnls(Xi, yi)
-        rnorm_warm = float(np.linalg.norm(Xi @ w - yi))
-        assert rnorm_warm <= rnorm_cold + 1e-9 * (1.0 + rnorm_cold)
-    # The point of warm-starting: nearly every fold keeps the active set.
-    assert certified >= len(y) // 2
-
-    fast = loocv_predictions(
-        lambda: SpeedupModel(NonNegativeLeastSquares()), ds.samples
-    )
-    naive = loocv_predictions(
-        lambda: SpeedupModel(NonNegativeLeastSquares()), ds.samples, fast=False
-    )
-    assert np.array_equal(np.isfinite(fast), np.isfinite(naive))
 
 
 def test_fast_handles_unit_leverage_rows():

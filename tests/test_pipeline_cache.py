@@ -9,10 +9,13 @@ from repro.experiments import DatasetSpec
 from repro.pipeline import (
     MISS,
     MeasurementCache,
+    kernel_fingerprint,
     measure_suite,
     measurement_fingerprint,
 )
 from repro.tsvc import get_kernel
+
+from tests.helpers import build
 
 SPEC = DatasetSpec("armv8-neon", "llv", workers=1)
 
@@ -50,6 +53,31 @@ def test_fingerprint_differs_across_kernels():
 
 def test_workers_not_part_of_fingerprint():
     assert fp_for(SPEC) == fp_for(DatasetSpec("armv8-neon", "llv", workers=8))
+
+
+def scaled_kernel(scale: float):
+    def body(k):
+        a = k.array("a", extents=(64,))
+        b = k.array("b", extents=(64,))
+        i = k.loop(64)
+        a[i] = b[i] * scale
+
+    return build("ck", body)
+
+
+def test_kernel_fingerprint_stable_across_objects():
+    """Two builds of the same source share one fingerprint (the DSE
+    memo key), so the second search of an equal kernel is a hit."""
+    k1, k2 = scaled_kernel(2.0), scaled_kernel(2.0)
+    assert k1 is not k2
+    assert kernel_fingerprint(k1) == kernel_fingerprint(k2)
+
+
+def test_kernel_fingerprint_invalidation_on_mutation():
+    """Same name, one constant changed: a different fingerprint."""
+    assert kernel_fingerprint(scaled_kernel(2.0)) != kernel_fingerprint(
+        scaled_kernel(3.0)
+    )
 
 
 # -- hit / miss / bypass -----------------------------------------------------

@@ -9,10 +9,7 @@ Three layers of confidence, mirroring the soundness argument:
   interval — the analysis quantifies over all iterations, so a single
   counterexample is a soundness bug, not noise;
 * consumer tests: the bounds/guard passes, ``prove_safe``, the
-  static/dynamic cross-check, the measurement prepass gate, and the
-  compiled tiers' elision paths (guard folding, unguarded gathers
-  behind the native runtime contract, shift-wrapper removal) — each
-  checked bit-identical against the unoptimized path.
+  static/dynamic cross-check, and the measurement prepass gate.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from repro.analysis.framework.ranges import (
     GuardRangePass,
     crosscheck_kernel,
     prove_safe,
-    ranges_enabled,
 )
 from repro.analysis.ranges import (
     INT_BOUNDS,
@@ -41,29 +37,12 @@ from repro.ir import DType
 from repro.ir.expr import BinOpKind
 from repro.ir.verify import VerificationError
 from repro.pipeline.build import static_prepass
-from repro.sim import compile as simcompile
-from repro.sim import native
-from repro.sim.compile import bit_identical, clear_compile_cache, get_compiled
-from repro.sim.executor import make_buffers, run_scalar_interpreted, run_vector
-from repro.targets import ARMV8_NEON
+from repro.sim.executor import make_buffers, run_scalar_interpreted
 from repro.tsvc import all_kernels
-from repro.vectorize import vectorize_loop
 
-from tests.helpers import SMALL, build, copy_buffers
+from tests.helpers import SMALL, build
 
 SUITE = list(all_kernels(dims=SMALL))
-
-HAVE_CC = native.find_toolchain() is not None
-needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no usable C toolchain")
-
-
-@pytest.fixture(autouse=True)
-def _clean_tier_state():
-    clear_compile_cache()
-    native.reset_native_state()
-    yield
-    clear_compile_cache()
-    native.reset_native_state()
 
 
 # ---------------------------------------------------------------------------
@@ -230,33 +209,23 @@ class TestBoundsAndSafety:
         report = prove_safe(kern, AnalysisManager())
         assert report.classification == "unknown"
 
-    def test_prepass_rejects_proven_unsafe(self, monkeypatch):
+    def test_prepass_rejects_proven_unsafe(self):
         def body(k):
             a = k.array("a", extents=(64,))
             i = k.loop(64)
             a[i + 32] = a[i]
 
         kern = build("oob_prepass_probe", body, default_len=64)
-        monkeypatch.delenv("REPRO_RANGES", raising=False)
         with pytest.raises(VerificationError, match="out-of-bounds"):
             static_prepass([kern])
-        # Opting out of range consumption also disarms the gate.
-        monkeypatch.setenv("REPRO_RANGES", "0")
-        static_prepass([build("oob_prepass_probe2", body, default_len=64)])
-
-    def test_ranges_enabled_env_switch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RANGES", raising=False)
-        assert ranges_enabled()
-        monkeypatch.setenv("REPRO_RANGES", "0")
-        assert not ranges_enabled()
 
 
 # ---------------------------------------------------------------------------
-# Guard folding in the compiled tiers
+# Constant guards
 # ---------------------------------------------------------------------------
 
 
-def _fold_probe():
+def _constant_guard_probe():
     def body(k):
         a = k.array("a", extents=(64,))
         b = k.array("b", extents=(64,))
@@ -266,17 +235,20 @@ def _fold_probe():
         with k.if_(i > 200):  # provably never taken
             a[i] = b[i] - 1.0
 
-    return build("fold_probe", body, default_len=64)
+    return build("constant_guard_probe", body, default_len=64)
 
 
 class TestGuardFolding:
+    """Guards the range analysis proves constant, i.e. foldable."""
+
     def test_guard_range_pass_verdicts(self):
-        kern = _fold_probe()
+        kern = _constant_guard_probe()
         info = AnalysisManager().get(GuardRangePass, kern)
         assert info.verdicts == {0: True, 2: False}
-        stmts = [s for s in kern.stmts()]
-        assert info.fold_of(stmts[0]) is True
-        assert info.fold_of(stmts[2]) is False
+        assert [r.args for r in info.remarks] == [
+            (("value", "true"),),
+            (("value", "false"),),
+        ]
 
     def test_init_contingent_guard_never_folds(self):
         def body(k):
@@ -290,180 +262,4 @@ class TestGuardFolding:
         info = AnalysisManager().get(GuardRangePass, kern)
         assert info.verdicts == {}
         assert info.init_verdicts == {0: True}
-        assert info.fold_of(next(iter(kern.stmts()))) is None
-
-    def test_folded_source_differs_but_results_bit_identical(self, monkeypatch):
-        kern = _fold_probe()
-        monkeypatch.delenv("REPRO_RANGES", raising=False)
-        monkeypatch.setenv("REPRO_NATIVE", "0")
-        ck1 = get_compiled(kern, "scalar")
-        assert "if True:" in ck1.source and "if False:" in ck1.source
-        bufs1 = make_buffers(kern, seed=3)
-        r1 = simcompile._execute(ck1, kern, bufs1, None, None)
-
-        monkeypatch.setenv("REPRO_RANGES", "0")
-        clear_compile_cache()
-        ck0 = get_compiled(kern, "scalar")
-        assert ck0.source != ck1.source
-        assert "if True:" not in ck0.source
-        bufs0 = make_buffers(kern, seed=3)
-        r0 = simcompile._execute(ck0, kern, bufs0, None, None)
-
-        monkeypatch.delenv("REPRO_RANGES", raising=False)
-        ref_bufs = make_buffers(kern, seed=3)
-        ref = run_scalar_interpreted(kern, ref_bufs)
-        assert bit_identical(ref, ref_bufs, r1, bufs1)
-        assert bit_identical(ref, ref_bufs, r0, bufs0)
-        # Folding must keep the guard-statistics bookkeeping intact.
-        assert r1.guard_probs == {0: 1.0, 1: 0.0}
-
-    def test_vector_tier_folds_and_matches(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE", "0")
-        kern = _fold_probe()
-        plan = vectorize_loop(kern, ARMV8_NEON)
-        bufs = make_buffers(kern, seed=5)
-        got = run_vector(plan, bufs)
-        ref_bufs = make_buffers(kern, seed=5)
-        monkeypatch.setenv("REPRO_COMPILE", "0")
-        ref = run_vector(plan, ref_bufs)
-        for name in bufs:
-            np.testing.assert_array_equal(bufs[name], ref_bufs[name])
-        for name in got.scalars:
-            np.testing.assert_array_equal(
-                np.asarray(got.scalars[name]), np.asarray(ref.scalars[name])
-            )
-
-
-# ---------------------------------------------------------------------------
-# Native tier: unguarded gathers, contract dispatch, shift elision
-# ---------------------------------------------------------------------------
-
-
-def _gather_kernel():
-    """vag at SMALL dims: a contract-proven gather."""
-    for kern in SUITE:
-        if kern.name == "vag":
-            return kern
-    raise AssertionError("vag missing from suite")
-
-
-def _native_meta(kernel):
-    fp = simcompile._cache_fp(kernel)
-    tc = native.find_toolchain()
-    mod = native._attach(kernel, fp, tc, native._native_fingerprint(fp, tc))
-    assert isinstance(mod, native._NativeModule), getattr(mod, "reason", mod)
-    return mod.meta
-
-
-@needs_cc
-class TestNativeElision:
-    @pytest.fixture(autouse=True)
-    def _ranges_on(self, monkeypatch):
-        # This class pins down the default-on elision behavior; a
-        # REPRO_RANGES=0 outer environment (the CI parity leg runs the
-        # suite exactly that way) must not flip its expectations.
-        # Tests that cover the opt-out re-set the variable themselves.
-        monkeypatch.delenv("REPRO_RANGES", raising=False)
-
-    def test_gather_kernel_elides_and_matches_interpreter(self, monkeypatch):
-        kern = _gather_kernel()
-        meta = _native_meta(kern)
-        assert meta["elided"]["gathers"] >= 1
-        ck = get_compiled(kern)
-        assert ck.mode == "native"
-        bufs = make_buffers(kern, seed=2)
-        got = simcompile._execute(ck, kern, bufs, None, None)
-        ref_bufs = make_buffers(kern, seed=2)
-        ref = run_scalar_interpreted(kern, ref_bufs)
-        assert bit_identical(ref, ref_bufs, got, bufs)
-
-    def test_ranges_off_native_bit_identical(self, monkeypatch):
-        kern = _gather_kernel()
-        ck1 = get_compiled(kern)
-        bufs1 = make_buffers(kern, seed=4)
-        r1 = simcompile._execute(ck1, kern, bufs1, None, None)
-
-        monkeypatch.setenv("REPRO_RANGES", "0")
-        clear_compile_cache()
-        native.clear_attached()
-        ck0 = get_compiled(kern)
-        assert ck0.mode == "native"
-        bufs0 = make_buffers(kern, seed=4)
-        r0 = simcompile._execute(ck0, kern, bufs0, None, None)
-        assert bit_identical(r1, bufs1, r0, bufs0)
-
-    def test_adversarial_contents_route_to_guarded_body(self):
-        """A caller-mutated index array violates the data contract; the
-        runtime scan must reject the fast body, and the guarded body
-        must stay bit-identical with the interpreter (wrap-legal
-        negative indices alias valid elements in every tier)."""
-        kern = _gather_kernel()
-        ck = get_compiled(kern)
-        assert ck.mode == "native"
-        idx_name = [n for n, d in kern.arrays.items() if d.dtype.is_int][0]
-        bufs = make_buffers(kern, seed=6)
-        bufs[idx_name][0] = -1  # in [-extent, 0): wrap-legal, not contract
-        ref_bufs = copy_buffers(bufs)
-        got = simcompile._execute(ck, kern, bufs, None, None)
-        ref = run_scalar_interpreted(kern, ref_bufs)
-        assert bit_identical(ref, ref_bufs, got, bufs)
-
-    def test_out_of_window_contents_still_fault(self):
-        kern = _gather_kernel()
-        ck = get_compiled(kern)
-        bufs = make_buffers(kern, seed=6)
-        idx_name = [n for n, d in kern.arrays.items() if d.dtype.is_int][0]
-        bufs[idx_name][0] = 10**6
-        with pytest.raises(native.NativeError):
-            simcompile._execute(ck, kern, bufs, None, None)
-
-    def test_shift_wrapper_elision(self):
-        def body(k):
-            a = k.array("a", dtype=DType.I32, extents=(64,))
-            b = k.array("b", dtype=DType.I32, extents=(64,))
-            i = k.loop(64)
-            a[i] = b[i] >> 2
-
-        kern = build("shift_probe", body, default_len=64)
-        info = AnalysisManager().get(GuardRangePass, kern)
-        assert info.shift_total == 1 and info.shifts_proven == 1
-        meta = _native_meta(kern)
-        assert meta["elided"]["shifts"] >= 1
-        ck = get_compiled(kern)
-        assert ck.mode == "native"
-        bufs = make_buffers(kern, seed=1)
-        got = simcompile._execute(ck, kern, bufs, None, None)
-        ref_bufs = make_buffers(kern, seed=1)
-        ref = run_scalar_interpreted(kern, ref_bufs)
-        assert bit_identical(ref, ref_bufs, got, bufs)
-
-    def test_folded_guard_counts_in_meta(self):
-        meta = _native_meta(_fold_probe())
-        assert meta["elided"]["folded_guards"] == 2
-
-    def test_store_only_scatter_keeps_guarded_body(self):
-        """Profitability gate: a proven scatter whose store is not the
-        read-modify-write partner of an elided load keeps the plain
-        guarded body (no dispatcher, no contract scan) — the static
-        proof itself is unaffected by the codegen decision."""
-        for kern in SUITE:
-            if kern.name == "vas":
-                break
-        else:
-            raise AssertionError("vas missing from suite")
-        info = AnalysisManager().get(BoundsCheckPass, kern)
-        assert info.gathers_proven >= 1
-        meta = _native_meta(kern)
-        assert meta["elided"]["gathers"] == 0
-
-    def test_rmw_scatter_still_dispatches(self):
-        """s141 scatters into the array it gathers from at the same
-        index — the store hits a resident line, so the cost model keeps
-        the dispatcher."""
-        for kern in SUITE:
-            if kern.name == "s141":
-                break
-        else:
-            raise AssertionError("s141 missing from suite")
-        meta = _native_meta(kern)
-        assert meta["elided"]["gathers"] >= 2
+        assert info.remarks == ()

@@ -15,10 +15,7 @@ def test_chaos_gate_small_run(tmp_path):
         timeout=2.0,
         workers=2,
         registry_root=tmp_path / "registry",
-        faults=(
-            "slow_handler:0.25,worker_crash:0.25,"
-            "corrupt_registry:0.2,toolchain_loss:0.25"
-        ),
+        faults="slow_handler:0.25,worker_crash:0.25,corrupt_registry:0.2",
         seed=0,
         hang_s=0.4,
     )
@@ -34,12 +31,7 @@ def test_default_fault_spec_parses():
     from repro.pipeline.faultinject import parse_faults
 
     plan = parse_faults(DEFAULT_FAULT_SPEC, seed=0)
-    assert set(plan.rates) == {
-        "slow_handler",
-        "worker_crash",
-        "corrupt_registry",
-        "toolchain_loss",
-    }
+    assert set(plan.rates) == {"slow_handler", "worker_crash", "corrupt_registry"}
 
 
 def test_suite_payloads_roundtrip_and_fit_samples():

@@ -1,13 +1,12 @@
 """Degraded-mode matrix: every combination answers, none ever raises.
 
-The grid crosses the four availability dimensions the satellite names —
-toolchain present × model published × native breaker open × range
-proofs enabled — and asserts that every cell (a) returns a verdict,
-(b) emits exactly one consolidated ``-Rpass-missed=serve`` remark when
-anything is degraded and none when healthy, and (c) produces the same
-verdict bits as every other cell with the same model availability:
-degradation is allowed to slow or annotate an answer, never to change
-it.
+The grid crosses the two availability dimensions of the service —
+model published × analysis-prepass breaker open — and asserts that
+every cell (a) returns a verdict, (b) emits exactly one consolidated
+``-Rpass-missed=serve`` remark when anything is degraded and none when
+healthy, and (c) produces the same verdict bits as the other cell with
+the same model availability: degradation is allowed to slow or
+annotate an answer, never to change it.
 """
 
 import itertools
@@ -42,37 +41,19 @@ def fitted_entry():
     )
 
 
-GRID = list(itertools.product([True, False], repeat=4))
+GRID = list(itertools.product([True, False], repeat=2))
 
 
-@pytest.mark.parametrize(
-    "toolchain, with_model, breaker_open, ranges_on", GRID
-)
+@pytest.mark.parametrize("with_model, prepass_open", GRID)
 def test_degraded_cell_returns_verdict_with_one_remark(
-    tmp_path,
-    monkeypatch,
-    fitted_entry,
-    toolchain,
-    with_model,
-    breaker_open,
-    ranges_on,
+    tmp_path, fitted_entry, with_model, prepass_open
 ):
-    import repro.serve.advisor as advisor_mod
-
-    monkeypatch.setattr(
-        advisor_mod, "native_enabled", lambda: toolchain
-    )
-    monkeypatch.setattr(
-        advisor_mod, "native_available", lambda: toolchain
-    )
-    monkeypatch.setenv("REPRO_RANGES", "1" if ranges_on else "0")
-
     registry = ModelRegistry(tmp_path / "registry")
     if with_model:
         registry.publish(fitted_entry)
     advisor = Advisor(registry)
-    if breaker_open:
-        advisor.native_breaker.force_open()
+    if prepass_open:
+        advisor.prepass_breaker.force_open()
 
     resp = advisor.advise({"kernel": GUARDED})  # must never raise
 
@@ -83,9 +64,10 @@ def test_degraded_cell_returns_verdict_with_one_remark(
     )
 
     # The advisory plan field rides along exactly when a model is
-    # published: availability degradations never strip it, and it
-    # never adds a degraded clause (asserted via the counts below).
-    if with_model:
+    # published and the prepass breaker is closed (plan enumeration
+    # leans on the prepass analyses); it never adds a degraded clause
+    # (asserted via the counts below).
+    if with_model and not prepass_open:
         assert resp["plan"] is not None
         assert resp["plan"]["label"]
         assert resp["plan"]["predicted_speedup"] > 0
@@ -93,53 +75,29 @@ def test_degraded_cell_returns_verdict_with_one_remark(
     else:
         assert resp["plan"] is None
 
-    anything_degraded = (
-        not toolchain or not with_model or breaker_open or not ranges_on
-    )
+    expected_clauses = sum((not with_model, prepass_open))
     serve_remarks = [r for r in resp["remarks"] if r["pass"] == "serve"]
-    assert len(serve_remarks) == (1 if anything_degraded else 0)
-    if anything_degraded:
+    assert len(serve_remarks) == (1 if expected_clauses else 0)
+    assert len(resp["degraded"]) == expected_clauses
+    if expected_clauses:
         assert serve_remarks[0]["flag"] == "-Rpass-missed"
         assert serve_remarks[0]["severity"] == "warning"
-        # The remark's clause count matches the degraded dimensions:
-        # native demotion (unavailable OR breaker) collapses into one.
-        expected_clauses = sum(
-            (
-                not toolchain or breaker_open,
-                not with_model,
-                not ranges_on,
-            )
-        )
-        assert len(resp["degraded"]) == expected_clauses
         assert serve_remarks[0]["args"]["degraded"] == str(expected_clauses)
 
 
 @pytest.mark.parametrize("with_model", [True, False])
 def test_verdict_bits_invariant_across_degradations(
-    tmp_path, monkeypatch, fitted_entry, with_model
+    tmp_path, fitted_entry, with_model
 ):
-    """All 8 availability cells of one model group agree bit-for-bit."""
-    import repro.serve.advisor as advisor_mod
-
+    """Both prepass cells of one model group agree bit-for-bit."""
     cores = set()
-    for toolchain, breaker_open, ranges_on in itertools.product(
-        [True, False], repeat=3
-    ):
-        monkeypatch.setattr(
-            advisor_mod, "native_enabled", lambda t=toolchain: t
-        )
-        monkeypatch.setattr(
-            advisor_mod, "native_available", lambda t=toolchain: t
-        )
-        monkeypatch.setenv("REPRO_RANGES", "1" if ranges_on else "0")
-        registry = ModelRegistry(
-            tmp_path / f"reg-{toolchain}-{breaker_open}-{ranges_on}"
-        )
+    for prepass_open in (True, False):
+        registry = ModelRegistry(tmp_path / f"reg-{prepass_open}")
         if with_model:
             registry.publish(fitted_entry)
         advisor = Advisor(registry)
-        if breaker_open:
-            advisor.native_breaker.force_open()
+        if prepass_open:
+            advisor.prepass_breaker.force_open()
         cores.add(canonical_verdict(advisor.advise({"kernel": GUARDED})))
     assert len(cores) == 1
 

@@ -50,7 +50,7 @@ def test_health_and_readiness_probes(server):
     assert status == 200
     assert body["status"] == "ok"
     assert body["pool"]["alive"] == 2
-    assert {b["name"] for b in body["breakers"]} == {"native", "prepass"}
+    assert {b["name"] for b in body["breakers"]} == {"prepass"}
 
     status, body, _ = http("GET", server.url + "/v1/ready")
     assert status == 200 and body["ready"] is True
