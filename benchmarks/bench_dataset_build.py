@@ -1,16 +1,16 @@
-"""Dataset-build timing: the pipeline's cold/warm/parallel trajectory.
+"""Dataset-build timing: the pipeline's cold/warm trajectory.
 
 These benches track the acceptance surface of the measurement
 pipeline: a cold serial sweep (the pre-pipeline baseline shape), a
-cold parallel sweep, a warm rebuild served from the persistent cache,
-and the fast-path vs refit-loop LOOCV.  ``smoke_pipeline.py`` runs the
+warm rebuild served from the persistent cache, and the fast-path vs
+refit-loop LOOCV.  ``smoke_pipeline.py`` runs the
 same measurements standalone and emits ``BENCH_pipeline.json``.
 """
 
 import pytest
 
 from repro.costmodel import RatedSpeedupModel
-from repro.experiments import ARM_LLV, X86_SLP, DatasetSpec
+from repro.experiments import ARM_LLV, X86_SLP
 from repro.fitting import LeastSquares
 from repro.pipeline import MeasurementCache, measure_suite
 from repro.validation import loocv_predictions
@@ -33,17 +33,6 @@ def test_bench_build_cold_serial(benchmark, tmp_path_factory):
 
     vectorized, excluded = benchmark(build)
     assert vectorized + excluded == 151
-
-
-def test_bench_build_cold_parallel(benchmark, tmp_path_factory):
-    cache = _uncached(tmp_path_factory)
-    spec = DatasetSpec("armv8-neon", "llv", workers=4)
-
-    def build():
-        samples, _ = measure_suite(spec, cache=cache)
-        return len(samples)
-
-    assert benchmark(build) > 75
 
 
 def test_bench_build_warm_cache(benchmark, tmp_path_factory):

@@ -24,25 +24,17 @@ Contract:
 * ``REPRO_MATRIX_CACHE=0`` (or :func:`matrix_cache_disabled`) disables
   the cross-call memo; bundles are then rebuilt per call, which is the
   seed-path behavior the benchmarks compare against.
-* ``REPRO_MATRIX_CACHE_DIR`` adds an on-disk tier for warm starts
-  across processes (the advisor service uses it).  Writes are
-  serialized to a tmp file and installed with ``os.replace``, digest
-  recorded in a sha256 sidecar, and loads are corruption-safe: a torn
-  or tampered bundle is evicted and rebuilt from the samples, never
-  served and never fatal.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -150,9 +142,7 @@ def get_bundle(samples: Sequence) -> MatrixBundle:
     """The (cached) matrix bundle for a sample list.
 
     With the cache disabled a fresh bundle is built per call — same
-    values, no sharing across calls.  With ``REPRO_MATRIX_CACHE_DIR``
-    set, a memory miss consults the on-disk tier before rebuilding, and
-    a rebuild is persisted for the next process.
+    values, no sharing across calls.
     """
     global _HITS, _MISSES
     if not samples:
@@ -169,123 +159,13 @@ def get_bundle(samples: Sequence) -> MatrixBundle:
         _MISSES += 1
     # Build outside the lock (stacking ~100×24 floats is cheap but the
     # fingerprint walk above already cost more than a dict race would).
-    bundle = _load_disk_bundle(fp)
-    if bundle is None:
-        bundle = _build_bundle(samples, fp)
-        _save_disk_bundle(bundle)
+    bundle = _build_bundle(samples, fp)
     with _LOCK:
         bundle = _BUNDLES.setdefault(fp, bundle)
         _BUNDLES.move_to_end(fp)
         while len(_BUNDLES) > CACHE_CAPACITY:
             _BUNDLES.popitem(last=False)
     return bundle
-
-
-# -- on-disk tier (corruption-safe, same contract as the model registry) -----
-
-#: Bump when the serialized layout changes; foreign-schema files are
-#: evicted and rebuilt, never deserialized into the wrong shape.
-DISK_SCHEMA = 1
-
-#: Array fields persisted per bundle (``derived`` stays lazy/in-memory).
-_DISK_FIELDS = (
-    "vf",
-    "measured",
-    "scalar_cpi",
-    "vector_cpi",
-    "scalar_features",
-    "vector_features",
-)
-
-
-def disk_cache_dir() -> Optional[Path]:
-    """The on-disk bundle directory, or ``None`` when the tier is off."""
-    env = os.environ.get("REPRO_MATRIX_CACHE_DIR")
-    if not env:
-        return None
-    return Path(env).expanduser()
-
-
-def _disk_paths(root: Path, fp: str) -> tuple[Path, Path]:
-    path = root / f"bundle-{fp}.pkl"
-    return path, path.with_suffix(".pkl.sha256")
-
-
-def _evict_disk_bundle(root: Path, fp: str) -> None:
-    for path in _disk_paths(root, fp):
-        try:
-            path.unlink()
-        except OSError:
-            pass
-
-
-def _load_disk_bundle(fp: str) -> Optional[MatrixBundle]:
-    """A verified on-disk bundle, or ``None`` (evicting anything corrupt).
-
-    A torn write, a flipped bit, a missing sidecar, or a foreign schema
-    all count as a miss: the files are evicted and the caller rebuilds
-    from the samples — the warm start degrades, nothing poisons it.
-    """
-    root = disk_cache_dir()
-    if root is None:
-        return None
-    path, sidecar = _disk_paths(root, fp)
-    try:
-        blob = path.read_bytes()
-        recorded = sidecar.read_text().strip()
-        if hashlib.sha256(blob).hexdigest() != recorded:
-            raise ValueError("sha256 mismatch")
-        payload = pickle.loads(blob)
-        if (
-            not isinstance(payload, dict)
-            or payload.get("schema") != DISK_SCHEMA
-            or payload.get("fingerprint") != fp
-        ):
-            raise ValueError("foreign schema or fingerprint")
-        arrays = {
-            key: _readonly(np.asarray(payload[key])) for key in _DISK_FIELDS
-        }
-        return MatrixBundle(fingerprint=fp, n=int(payload["n"]), **arrays)
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError, KeyError, pickle.UnpicklingError, EOFError):
-        _evict_disk_bundle(root, fp)
-        return None
-
-
-def _save_disk_bundle(bundle: MatrixBundle) -> None:
-    """Atomically persist a bundle (tmp + ``os.replace``, sidecar last).
-
-    The sidecar is written *after* the payload lands, so a reader never
-    sees a digest without its bytes; an unwritable directory degrades
-    to no persistence.
-    """
-    root = disk_cache_dir()
-    if root is None:
-        return
-    payload = {
-        "schema": DISK_SCHEMA,
-        "fingerprint": bundle.fingerprint,
-        "n": bundle.n,
-    }
-    for key in _DISK_FIELDS:
-        payload[key] = np.asarray(getattr(bundle, key))
-    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    path, sidecar = _disk_paths(root, bundle.fingerprint)
-    try:
-        root.mkdir(parents=True, exist_ok=True)
-        for target, data in (
-            (path, blob),
-            (sidecar, hashlib.sha256(blob).hexdigest().encode()),
-        ):
-            tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
-            with open(tmp, "wb") as fh:
-                fh.write(data)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, target)
-    except OSError:
-        pass
 
 
 # -- featurizer registry -----------------------------------------------------

@@ -32,7 +32,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,7 +39,6 @@ import numpy as np
 from ..costmodel.base import EPS
 from ..experiments.base import ExperimentResult, fit_cached, make_speedup_model
 from ..experiments.dataset import ARM_LLV, build_dataset
-from ..pipeline.build import choose_strategy, estimate_kernel_work, resolve_workers
 from ..targets.registry import get_target
 from ..tsvc.suite import all_kernels
 from .engine import search_kernel
@@ -50,9 +48,6 @@ from .points import measure_points
 #: Drivers compared per kernel; "exhaustive" is the pure-model arm,
 #: "verified" the deployable model-pruned/measured one.
 E14_DRIVERS = ("exhaustive", "hill_climb", "bandit", "verified")
-#: Nominal plan points per kernel for work estimation (the real count
-#: varies 1–40; scheduling only needs the order of magnitude).
-DSE_SWEEP_POINTS = 24
 
 
 def _geomean(values: Sequence[float]) -> float:
@@ -101,16 +96,11 @@ def run_e14(
     kernel_names: Optional[Sequence[str]] = None,
     *,
     seed: int = 0,
-    parallel: Optional[bool] = None,
 ) -> ExperimentResult:
     """The regret experiment (see module docstring).
 
-    ``parallel=None`` lets the cost-aware scheduler decide — the
-    per-kernel work estimate carries the plan-sweep term, so a 1-CPU
-    host stays serial instead of paying executor overhead for a
-    30-point sweep it cannot overlap.  Results are bit-identical
-    either way: every kernel cell is computed independently and
-    deterministically.
+    Every kernel cell is computed independently and deterministically,
+    one after another.
     """
     target = get_target(ARM_LLV.target)
     dataset = build_dataset(ARM_LLV)
@@ -121,25 +111,7 @@ def run_e14(
         wanted = set(kernel_names)
         kernels = [k for k in kernels if k.name in wanted]
 
-    decision = choose_strategy(
-        [
-            estimate_kernel_work(k, sweep_points=DSE_SWEEP_POINTS)
-            for k in kernels
-        ],
-        resolve_workers(None, pending=len(kernels)),
-    )
-    use_pool = (
-        decision.strategy == "pool" if parallel is None else parallel
-    ) and len(kernels) > 1
-
-    def cell(kernel):
-        return _evaluate_kernel(kernel, target, model, seed)
-
-    if use_pool:
-        with ThreadPoolExecutor(max_workers=decision.workers) as pool:
-            cells = list(pool.map(cell, kernels))
-    else:
-        cells = [cell(k) for k in kernels]
+    cells = [_evaluate_kernel(k, target, model, seed) for k in kernels]
 
     by_cat: dict[str, list[dict]] = {}
     for c in cells:
@@ -223,9 +195,9 @@ def run_e14(
         f"{len(cells)} kernels, {int(result.series['n_points'].sum())} plan "
         f"points; model {overall['model']}x vs default {overall['default']}x "
         f"vs verified {verified_gm}x vs oracle {overall['oracle']}x geomean; "
-        f"the exhaustive arm spends model predictions, the bandit spends "
-        f"measurements, verified spends a model-pruned shortlist of "
-        f"measurements (scheduling: {decision.strategy}, {decision.reason})."
+        "the exhaustive arm spends model predictions, the bandit spends "
+        "measurements, verified spends a model-pruned shortlist of "
+        "measurements."
     )
     return result
 
@@ -245,11 +217,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--serial",
-        action="store_true",
-        help="force the per-kernel loop serial (default: cost-aware)",
-    )
-    parser.add_argument(
         "--json",
         default=None,
         metavar="FILE",
@@ -260,9 +227,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     names = None
     if args.limit is not None:
         names = [k.name for k in all_kernels()][: max(args.limit, 0)]
-    result = run_e14(
-        names, seed=args.seed, parallel=False if args.serial else None
-    )
+    result = run_e14(names, seed=args.seed)
     print(result.to_text())
     if args.json:
         payload = {

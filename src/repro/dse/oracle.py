@@ -130,9 +130,9 @@ def score_points_entry(
     guard_probs: Optional[dict] = None,
 ) -> np.ndarray:
     """Like :func:`score_points` but through a registry
-    :class:`~repro.serve.registry.ModelEntry` (the advisor path): the
-    entry names its featurization, the design matrix comes from the
-    shared cache, and the entry's stored weights predict."""
+    :class:`~repro.serve.registry.ModelEntry`: the entry names its
+    featurization, the design matrix comes from the shared cache, and
+    the entry's stored weights predict."""
     from ..costmodel import matrix
 
     scores = np.zeros(len(points), dtype=np.float64)

@@ -1,20 +1,19 @@
 """CLI: ``python -m repro.experiments [E1 E2 … | all] [--no-scatter]``.
 
 Runs the requested paper-figure reproductions through the suite
-scheduler — shared dataset builds, shared fitted models, drivers on a
-bounded executor (``--serial`` / ``--jobs`` control it) — and prints
+scheduler — shared dataset builds, shared fitted models — and prints
 their tables and text scatters.  ``--bench`` times the engine against
 the per-driver seed path and writes ``BENCH_experiments.json``.
-Measurement-pipeline knobs (worker processes, the persistent cache)
-are configured here and apply to every dataset the selected
-experiments build.
+Measurement-pipeline knobs (the persistent cache, deadlines and the
+worker processes that enforce them) are configured here and apply to
+every dataset the selected experiments build.
 
 ``python -m repro.experiments analyze …`` dispatches to the static
 analysis CLI instead (see :mod:`.analyze`), ``… chaos`` to the
 fault-injection parity check (see :mod:`repro.pipeline.faultinject`),
 ``… serve`` to the advisor service (see :mod:`repro.serve.server`),
 ``… serve-chaos`` to the service-level chaos gate (see
-:mod:`repro.serve.chaos`), ``… corpus`` to the sharded synthetic
+:mod:`repro.serve.chaos`), ``… corpus`` to the synthetic
 corpus sweep (see :mod:`.corpus`), and ``… dse`` to the plan-space
 search experiment (see :mod:`repro.dse.experiment`).
 """
@@ -74,32 +73,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     sched = parser.add_argument_group("suite scheduler")
     sched.add_argument(
-        "--parallel",
-        action="store_true",
-        default=True,
-        help="run independent drivers on a bounded thread executor "
-        "(the default; report tables are bit-identical to --serial)",
-    )
-    sched.add_argument(
-        "--serial",
-        dest="parallel",
-        action="store_false",
-        help="run the drivers one after another",
-    )
-    sched.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="driver threads for --parallel (default: bounded by cpu "
-        "count and the number of selected experiments)",
-    )
-    sched.add_argument(
         "--bench",
         action="store_true",
-        help="time the engine against the per-driver seed path (4 suite "
-        "passes), assert serial/parallel table parity, and write the "
-        "results to --bench-out",
+        help="time the engine against the per-driver seed path (3 suite "
+        "passes) and write the results to --bench-out",
     )
     sched.add_argument(
         "--bench-out",
@@ -113,8 +90,9 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="measurement processes per dataset build "
-        "(default: REPRO_WORKERS env or cpu count; 1 = serial)",
+        help="measurement processes when a sweep needs a pool (under "
+        "--timeout or a fault plan; default: REPRO_WORKERS env or cpu "
+        "count); other sweeps run serially",
     )
     pipe.add_argument(
         "--cache-dir",
@@ -198,23 +176,20 @@ def main(argv: list[str] | None = None) -> int:
     from .scheduler import bench_suite, run_suite
 
     if args.bench:
-        bench = bench_suite(args.ids, jobs=args.jobs)
+        bench = bench_suite(args.ids)
         with open(args.bench_out, "w") as fh:
             json.dump(bench, fh, indent=2, sort_keys=True)
         print(json.dumps(bench, indent=2, sort_keys=True))
         print(f"[bench written to {args.bench_out}]")
-        if not bench["parallel_serial_tables_identical"]:
-            print("FAIL: parallel and serial report tables differ")
-            return 1
         return 0
 
-    run = run_suite(args.ids, parallel=args.parallel, jobs=args.jobs)
+    run = run_suite(args.ids)
     for result in run.results:
         print(result.to_text(include_scatter=not args.no_scatter))
         print(f"[{result.id} completed in {result.wall_s:.1f}s]\n")
     print(
         f"[suite: {len(run.results)} experiments in {run.total_s:.1f}s "
-        f"({run.mode}, {run.jobs} job(s); dataset builds {run.build_s:.1f}s)]"
+        f"(dataset builds {run.build_s:.1f}s)]"
     )
     if args.cache_stats:
         print(f"[{default_cache().stats}]")

@@ -52,7 +52,7 @@ class ExperimentResult:
     notes: str = ""
     #: Driver wall time, filled by the suite scheduler.  Deliberately
     #: not rendered by ``to_text`` — report tables must stay
-    #: bit-identical across serial/parallel/cached runs.
+    #: bit-identical across runs of any speed.
     wall_s: float = 0.0
 
     def to_text(self, include_scatter: bool = True) -> str:

@@ -5,8 +5,7 @@ cannot answer is whether the linear models are *data-starved* — would
 ten times the loops move the needle?  The property-based generator
 (:mod:`repro.gen`) makes the question testable: it samples arbitrarily
 many valid kernels from the suite's own category taxonomy, and the
-sharded corpus sweep (:mod:`repro.pipeline.corpus`) makes measuring
-them affordable.
+corpus sweep (:mod:`repro.pipeline.corpus`) measures them.
 
 E13 sweeps a nested sequence of corpora (suite ⊂ suite+generated ⊂ …,
 default sizes 151/400/800/1500 — ``REPRO_E13_SIZES`` overrides), fits
@@ -40,7 +39,7 @@ import numpy as np
 
 from ..costmodel.base import Sample, predict_all
 from ..gen import corpus_names
-from ..pipeline.corpus import CorpusResult, measure_corpus
+from ..pipeline.corpus import measure_corpus
 from ..validation.metrics import confusion, rmse
 from .base import ExperimentResult, fit_cached, make_speedup_model
 from .categories import category_report
@@ -102,25 +101,6 @@ def _eval_spec(spec: DatasetSpec) -> DatasetSpec:
     return spec
 
 
-def _sweep(
-    names: Sequence[str],
-    spec: DatasetSpec,
-    *,
-    shards: int,
-    workers: Optional[int],
-    stream_dir: Optional[str],
-    supervise: bool = True,
-) -> CorpusResult:
-    return measure_corpus(
-        list(names),
-        spec,
-        shards=shards,
-        workers=workers,
-        stream_dir=stream_dir,
-        supervise=supervise,
-    )
-
-
 def _eval_row(model, samples: Sequence[Sample]) -> dict:
     preds = predict_all(model, samples)
     measured = np.array([s.measured_speedup for s in samples])
@@ -138,9 +118,6 @@ def run_e13(
     *,
     sizes: Optional[Sequence[int]] = None,
     eval_size: Optional[int] = None,
-    shards: Optional[int] = None,
-    workers: Optional[int] = None,
-    stream_dir: Optional[str] = None,
 ) -> ExperimentResult:
     """Learning curves: eval RMSE / decision accuracy vs corpus size.
 
@@ -156,11 +133,6 @@ def run_e13(
         if eval_size is None
         else int(eval_size)
     )
-    shards = (
-        int(os.environ.get("REPRO_E13_SHARDS", "4"))
-        if shards is None
-        else int(shards)
-    )
     res = ExperimentResult(
         "E13",
         "Learning curves on the synthetic kernel corpus "
@@ -175,13 +147,7 @@ def run_e13(
     ):
         spec = default if spec is None else spec
         eval_names = corpus_names(eval_size, seed=EVAL_SEED)
-        eval_res = _sweep(
-            eval_names,
-            _eval_spec(spec),
-            shards=shards,
-            workers=workers,
-            stream_dir=stream_dir,
-        )
+        eval_res = measure_corpus(eval_names, _eval_spec(spec))
         if not eval_res.samples:
             raise RuntimeError(
                 f"E13 eval corpus produced no vectorized samples for "
@@ -190,13 +156,7 @@ def run_e13(
         last_model = None
         for size in sizes:
             names = corpus_kernel_names(size, seed=spec.seed)
-            train = _sweep(
-                names,
-                spec,
-                shards=shards,
-                workers=workers,
-                stream_dir=stream_dir,
-            )
+            train = measure_corpus(names, spec)
             model = fit_cached(make_speedup_model("nnls"), train.samples)
             row = {
                 "dataset": spec.label,
@@ -269,8 +229,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     """The ``python -m repro.experiments corpus …`` CLI."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments corpus",
-        description="Sweep a generated kernel corpus (sharded), fit the "
-        "serving model, and optionally publish it to a registry.",
+        description="Sweep a generated kernel corpus, fit the serving "
+        "model, and optionally publish it to a registry.",
     )
     parser.add_argument(
         "--size",
@@ -279,10 +239,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="total corpus size incl. the TSVC suite (default: %(default)s)",
     )
     parser.add_argument(
-        "--shards", type=int, default=8, help="shard count (default: 8)"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, help="pool workers per shard"
+        "--workers",
+        type=int,
+        default=None,
+        help="pool workers under a deadline or a fault plan",
     )
     parser.add_argument(
         "--seed", type=int, default=0, help="generator seed (default: 0)"
@@ -292,12 +252,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         default="arm",
         choices=("arm", "x86"),
         help="measurement spec (default: arm)",
-    )
-    parser.add_argument(
-        "--stream-dir",
-        default=None,
-        metavar="DIR",
-        help="stream shard payloads through DIR (peak memory = 1 shard)",
     )
     parser.add_argument(
         "--publish",
@@ -323,24 +277,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     spec = {"arm": ARM_LLV, "x86": X86_SLP}[args.spec]
     names = corpus_kernel_names(args.size, seed=args.seed)
     t0 = time.perf_counter()
-    result = measure_corpus(
-        names,
-        spec,
-        shards=args.shards,
-        workers=args.workers,
-        stream_dir=args.stream_dir,
-    )
+    result = measure_corpus(names, spec, workers=args.workers)
     sweep_s = time.perf_counter() - t0
     print(
-        f"[corpus] {spec.label}: {len(names)} kernels in "
-        f"{result.shards} shard(s) -> {len(result.samples)} vectorized, "
+        f"[corpus] {spec.label}: {len(names)} kernels -> "
+        f"{len(result.samples)} vectorized, "
         f"{len(result.failures)} not vectorizable, "
         f"{len(result.quarantined_names)} quarantined in {sweep_s:.1f}s"
     )
     summary = {
         "spec": spec.label,
         "size": args.size,
-        "shards": result.shards,
         "vectorized": len(result.samples),
         "not_vectorizable": len(result.failures),
         "quarantined": result.quarantined_names,

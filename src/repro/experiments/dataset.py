@@ -6,10 +6,10 @@ measure scalar and vector time, and extract the block features.
 Kernels that cannot be vectorized are recorded with their reason and
 excluded from modelling, as in the paper.
 
-The sweep itself runs through :mod:`repro.pipeline` — sharded across
-worker processes and layered over the persistent measurement cache —
-with an in-memory memo on top so repeated ``build_dataset`` calls in
-one process return the same object.
+The sweep itself runs through :mod:`repro.pipeline` — supervised and
+layered over the persistent measurement cache — with an in-memory memo
+on top so repeated ``build_dataset`` calls in one process return the
+same object.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from ..costmodel.base import Sample
-from ..pipeline.build import DatasetBuildStats, measure_suite
+from ..pipeline.build import measure_suite
 from ..pipeline.resilience import FailureReport
 
 #: Default measurement jitter (σ of the multiplicative noise); roughly
@@ -35,10 +35,6 @@ class DatasetSpec:
     vectorizer: str = "llv"
     jitter: float = DEFAULT_JITTER
     seed: int = 0
-    #: Measurement processes (None → ``REPRO_WORKERS`` env, else
-    #: ``os.cpu_count()``).  Not part of the measurement identity:
-    #: any worker count produces bit-identical samples.
-    workers: Optional[int] = None
 
     @property
     def label(self) -> str:
@@ -65,9 +61,6 @@ class Dataset:
     #: partial dataset is still fully usable — every consumer works
     #: from ``samples`` — but reports must surface the gap.
     quarantined: FailureReport = field(default_factory=FailureReport)
-    #: How the sweep was scheduled (serial vs pool, and why) — filled
-    #: by ``measure_suite``; a fully cached build reads ``"none"``.
-    build_stats: DatasetBuildStats = field(default_factory=DatasetBuildStats)
     _by_name: dict[str, Sample] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
@@ -117,8 +110,8 @@ class Dataset:
 #: In-memory memo, keyed by measurement identity (worker count and
 #: cache state cannot change the values, so they are not in the key).
 _MEMO: dict[tuple, Dataset] = {}
-#: Per-identity build locks: concurrent experiment drivers asking for
-#: the same spec must share one sweep, not race two.
+#: Per-identity build locks: concurrent callers asking for the same
+#: spec must share one sweep, not race two.
 _MEMO_LOCK = threading.Lock()
 _BUILD_LOCKS: dict[tuple, threading.Lock] = {}
 
@@ -127,9 +120,8 @@ def build_dataset(spec: Optional[DatasetSpec] = None, **kwargs) -> Dataset:
     """Build (or fetch the cached) dataset for a measurement spec.
 
     Thread-safe: each measurement identity is built exactly once per
-    process; concurrent callers (the suite scheduler runs drivers on
-    an executor) block on the identity's build lock and receive the
-    same ``Dataset`` object.
+    process; concurrent callers block on the identity's build lock and
+    receive the same ``Dataset`` object.
     """
     if spec is None:
         spec = DatasetSpec(**kwargs)
@@ -147,11 +139,8 @@ def build_dataset(spec: Optional[DatasetSpec] = None, **kwargs) -> Dataset:
             # partial=True: a kernel the resilient sweep had to
             # quarantine shrinks the dataset (and is reported) instead
             # of killing the experiment that asked for it.
-            stats = DatasetBuildStats()
-            samples, failures, report = measure_suite(
-                spec, partial=True, stats=stats
-            )
-            ds = Dataset(spec, samples, failures, report, stats)
+            samples, failures, report = measure_suite(spec, partial=True)
+            ds = Dataset(spec, samples, failures, report)
             with _MEMO_LOCK:
                 _MEMO[key] = ds
     return ds

@@ -25,7 +25,7 @@ from .base import (
     scatter_for,
 )
 from .dataset import ARM_LLV, X86_SLP, Dataset, DatasetSpec, build_dataset
-from .reporting import build_summary, fail_summary, quarantine_summary
+from .reporting import fail_summary, quarantine_summary
 
 
 def _dataset(spec: Optional[DatasetSpec], default: DatasetSpec) -> Dataset:
@@ -59,7 +59,6 @@ def run_e1(spec: Optional[DatasetSpec] = None) -> ExperimentResult:
     res.notes = (
         f"{ds.summary()}. Not vectorizable: {fail_summary(ds.failures)}. "
         f"Quarantined by the sweep: {quarantine_summary(ds.quarantined)}. "
-        f"Sweep schedule: {build_summary(ds.build_stats)}. "
         "The static model's coarse per-opcode costs ignore latency "
         "chains, port pressure and memory bandwidth — hence the weak "
         "correlation the paper opens with."
@@ -342,8 +341,7 @@ def run_e9(spec: Optional[DatasetSpec] = None) -> ExperimentResult:
     scatter_for(res, "llvm-static-x86", preds, measured)
     res.notes = (
         f"{ds.summary()}. Not vectorizable: {fail_summary(ds.failures)}. "
-        f"Quarantined by the sweep: {quarantine_summary(ds.quarantined)}. "
-        f"Sweep schedule: {build_summary(ds.build_stats)}."
+        f"Quarantined by the sweep: {quarantine_summary(ds.quarantined)}."
     )
     return res
 

@@ -102,22 +102,6 @@ def fail_summary(failures: Sequence[tuple[str, str]]) -> str:
     return "; ".join(parts) if parts else "none"
 
 
-def build_summary(stats) -> str:
-    """One line for a sweep's :class:`~repro.pipeline.DatasetBuildStats`.
-
-    Surfaces the cost-aware scheduling decision — a deliberate serial
-    fallback reads as such instead of hiding in the timings.
-    """
-    if stats.strategy == "none":
-        return "fully cached (no measurement scheduled)"
-    text = f"{stats.measured} measured / {stats.cached} cached, {stats.strategy}"
-    if stats.strategy == "pool":
-        text += f" x{stats.workers} (chunk {stats.chunksize})"
-    if stats.reason:
-        text += f" — {stats.reason}"
-    return text
-
-
 def quarantine_summary(report) -> str:
     """One line for a sweep's :class:`~repro.pipeline.FailureReport`.
 

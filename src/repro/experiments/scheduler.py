@@ -3,32 +3,24 @@
 ``run_suite`` is what ``python -m repro.experiments all`` executes:
 
 1. **Pre-build phase** — every unique :class:`DatasetSpec` the selected
-   experiments need is built exactly once (the dataset memo makes the
-   build shared; doing it up front keeps the measurement sweeps — which
-   parallelize internally across worker processes — out of the driver
-   executor).
-2. **Driver phase** — the drivers run on a bounded thread executor.
-   They are measurement-free after the pre-build (pure linear algebra
-   over the shared matrix bundles plus the engine memo), so threads are
-   the right tool: the heavy numpy/scipy kernels drop the GIL, and on a
-   single-CPU host the scheduler degrades to the serial order with no
-   pool overhead.
+   experiments need is built exactly once, up front (the dataset memo
+   makes the build shared).
+2. **Driver phase** — the drivers run one after another.  They are
+   measurement-free after the pre-build (pure linear algebra over the
+   shared matrix bundles plus the engine memo).
 
 Per-experiment wall time is recorded on each result (``wall_s``) and in
-the returned :class:`SuiteRun`; the report tables themselves stay
-bit-identical between serial and parallel runs — that property is
-asserted by the benchmarks and CI.
+the returned :class:`SuiteRun`.
 
 ``seed_mode`` recreates the pre-engine behavior (no matrix bundles, no
-engine memo, cold SVR folds, serial drivers) so the benchmarks can
-measure the engine against the path it replaced.
+engine memo, cold SVR folds) so the benchmarks can measure the engine
+against the path it replaced.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
@@ -69,8 +61,6 @@ class SuiteRun:
     """One ``run_suite`` invocation: ordered results plus timings."""
 
     results: list[ExperimentResult]
-    mode: str  # "parallel" | "serial"
-    jobs: int
     build_s: float
     drivers_s: float
     total_s: float
@@ -78,7 +68,7 @@ class SuiteRun:
 
     def tables_text(self) -> list[str]:
         """The rendered report tables (no scatters) — the strings the
-        serial/parallel bit-identity gate compares."""
+        seed/engine bit-identity gate compares."""
         return [r.to_text(include_scatter=False) for r in self.results]
 
 
@@ -113,19 +103,7 @@ def required_specs(ids: Sequence[str]) -> list[DatasetSpec]:
     return specs
 
 
-def default_jobs(n_tasks: int) -> int:
-    """Bounded executor width: enough threads to overlap the suite's
-    independent drivers, never more than there are tasks."""
-    cpus = os.cpu_count() or 1
-    return max(1, min(n_tasks, max(2, cpus)))
-
-
-def run_suite(
-    ids: Optional[Sequence[str]] = None,
-    *,
-    parallel: bool = True,
-    jobs: Optional[int] = None,
-) -> SuiteRun:
+def run_suite(ids: Optional[Sequence[str]] = None) -> SuiteRun:
     """Run the selected experiments through the engine (see module doc)."""
     ids = normalize_ids(ids)
     t_start = time.perf_counter()
@@ -133,26 +111,16 @@ def run_suite(
         build_dataset(spec)
     build_s = time.perf_counter() - t_start
 
-    def _run(eid: str) -> ExperimentResult:
+    t_drivers = time.perf_counter()
+    results = []
+    for eid in ids:
         t0 = time.perf_counter()
         result = EXPERIMENTS[eid][1]()
         result.wall_s = time.perf_counter() - t0
-        return result
-
-    t_drivers = time.perf_counter()
-    n_jobs = 1
-    if parallel and len(ids) > 1:
-        n_jobs = jobs if jobs and jobs > 0 else default_jobs(len(ids))
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_run, ids))
-    else:
-        results = [_run(eid) for eid in ids]
+        results.append(result)
     now = time.perf_counter()
     return SuiteRun(
         results=results,
-        mode="parallel" if n_jobs > 1 else "serial",
-        jobs=n_jobs,
         build_s=build_s,
         drivers_s=now - t_drivers,
         total_s=now - t_start,
@@ -169,19 +137,15 @@ def seed_mode() -> Iterator[None]:
         yield
 
 
-def bench_suite(
-    ids: Optional[Sequence[str]] = None, jobs: Optional[int] = None
-) -> dict:
-    """Four timed suite passes + the parity checks; the payload of
+def bench_suite(ids: Optional[Sequence[str]] = None) -> dict:
+    """Three timed suite passes + the parity check; the payload of
     ``BENCH_experiments.json``.
 
-    * ``seed``: serial drivers under :func:`seed_mode` — the per-driver
-      path this PR replaced (measurement cache warm in all passes, so
+    * ``seed``: drivers under :func:`seed_mode` — the per-driver path
+      the engine replaced (measurement cache warm in all passes, so
       the comparison isolates the fitting-side engine).
-    * ``engine_cold``: fresh fitting-side caches, parallel drivers.
+    * ``engine_cold``: fresh fitting-side caches.
     * ``engine_warm``: same invocation again, everything memoized.
-    * ``engine_serial``: fresh caches, serial drivers — must produce
-      bit-identical report tables to the parallel pass.
     """
     from ..costmodel.matrix import clear_matrix_cache
     from .base import clear_engine_cache, loocv_cached
@@ -191,16 +155,12 @@ def bench_suite(
         build_dataset(spec)
 
     with seed_mode():
-        seed_run = run_suite(ids, parallel=False)
+        seed_run = run_suite(ids)
     clear_matrix_cache()
     clear_engine_cache()
-    cold_run = run_suite(ids, parallel=True, jobs=jobs)
-    warm_run = run_suite(ids, parallel=True, jobs=jobs)
-    clear_matrix_cache()
-    clear_engine_cache()
-    serial_run = run_suite(ids, parallel=False)
+    cold_run = run_suite(ids)
+    warm_run = run_suite(ids)
 
-    parity = cold_run.tables_text() == serial_run.tables_text()
     # E12's LOOCV is objective-level equivalent (not bitwise) between
     # warm and cold folds, so seed-vs-engine table identity is only
     # claimed for the paper experiments.
@@ -229,8 +189,6 @@ def bench_suite(
         return {
             "total_s": round(run.total_s, 4),
             "drivers_s": round(run.drivers_s, 4),
-            "mode": run.mode,
-            "jobs": run.jobs,
             "wall_by_id": {k: round(v, 4) for k, v in run.wall_by_id.items()},
         }
 
@@ -240,12 +198,10 @@ def bench_suite(
         "seed": _times(seed_run),
         "engine_cold": _times(cold_run),
         "engine_warm": _times(warm_run),
-        "engine_serial": _times(serial_run),
         "speedup_vs_seed": round(seed_run.total_s / max(cold_run.total_s, 1e-9), 2),
         "warm_speedup_vs_seed": round(
             seed_run.total_s / max(warm_run.total_s, 1e-9), 2
         ),
-        "parallel_serial_tables_identical": parity,
         "seed_engine_tables_identical_e1_e11": seed_parity,
         "svr_warm": svr_warm,
     }

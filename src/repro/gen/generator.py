@@ -21,7 +21,7 @@ Everything is deterministic: a kernel is fully named by
 ``gx{seed}_{index}_{category}`` and the generator is a pure function
 of that name.  ``corpus_names(k)`` is prefix-stable — corpus 400 is a
 prefix of corpus 800 — which is what makes learning curves over nested
-corpus sizes meaningful and sharded sweeps resumable.
+corpus sizes meaningful and corpus sweeps resumable.
 
 Sampling uses bounded redraw: each attempt derives a fresh
 ``random.Random`` from ``sha256(seed:index:category:attempt)``, builds

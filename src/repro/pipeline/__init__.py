@@ -1,4 +1,4 @@
-"""Measurement pipeline: parallel suite sweeps over a persistent cache.
+"""Measurement pipeline: supervised suite sweeps over a persistent cache.
 
 The package the experiment layer builds datasets through — see
 DESIGN.md §"Measurement pipeline" for the architecture and
@@ -6,21 +6,13 @@ DESIGN.md §"Measurement pipeline" for the architecture and
 """
 
 from .build import (
-    DatasetBuildStats,
     PipelineConfig,
-    ScheduleDecision,
-    choose_strategy,
     configure,
-    estimate_kernel_work,
     measure_suite,
     resolve_timeout,
     resolve_workers,
 )
-from .corpus import (
-    CorpusResult,
-    measure_corpus,
-    partition_names,
-)
+from .corpus import CorpusResult, measure_corpus
 from .faultinject import (
     FaultPlan,
     InjectedCrash,
@@ -55,18 +47,13 @@ from .fingerprint import (
 )
 
 __all__ = [
-    "DatasetBuildStats",
     "PipelineConfig",
-    "ScheduleDecision",
-    "choose_strategy",
-    "estimate_kernel_work",
     "configure",
     "measure_suite",
     "resolve_timeout",
     "resolve_workers",
     "CorpusResult",
     "measure_corpus",
-    "partition_names",
     "FaultPlan",
     "InjectedCrash",
     "InjectedFault",

@@ -1,34 +1,31 @@
-"""The measurement sweep: suite × spec → samples, parallel and cached.
+"""The measurement sweep: suite × spec → samples, cached and supervised.
 
 ``measure_suite`` is the one hot path every experiment, bench, and
-example funnels through.  It layers three accelerations over the naive
-loop while keeping its results bit-identical:
+example funnels through.  Its results are bit-identical however a
+sweep runs:
 
 1. **persistent cache** — each kernel's result is looked up by content
    fingerprint before any work is dispatched (see :mod:`.cache`);
-2. **process parallelism** — cache misses are sharded across a
-   ``ProcessPoolExecutor``; workers receive kernel *names* and rebuild
-   from the registry, so nothing unpicklable crosses the boundary;
+2. **serial by default** — cache misses are measured one after another
+   in this process;
 3. **determinism** — per-kernel measurement noise is seeded from
    ``crc32(kernel.name)`` independently of sweep order, so serial,
-   parallel, and cached builds all produce the same floats.
+   pooled, and cached builds all produce the same floats.
 
-Worker count resolution order: explicit argument > ``spec.workers`` >
-``configure(workers=…)`` > ``REPRO_WORKERS`` env > ``os.cpu_count()``;
-the resolved count is then capped at the number of pending (uncached)
+Every sweep runs under the supervisor in :mod:`.resilience`: bounded
+retries, quarantine, and checkpoint/resume.  It starts a process pool
+only when the sweep needs a process it can kill or lose: a per-kernel
+deadline (``timeout``), or an active fault plan with more than one
+worker.  Workers receive kernel *names* and rebuild from the registry,
+so nothing unpicklable crosses the boundary.  The pool width resolves
+as: explicit argument > ``configure(workers=…)`` > ``REPRO_WORKERS``
+env > ``os.cpu_count()``, capped at the number of pending (uncached)
 kernels so no idle process is ever spawned.
-
-Since PR 3 the parallel path runs under the supervisor in
-:mod:`.resilience`: per-kernel deadlines, bounded retries, crash
-isolation, quarantine, and checkpoint/resume.  ``supervise=False``
-selects the raw, unsupervised executor (used by the perf smoke to
-price the supervision layer).
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -170,132 +167,6 @@ def resolve_timeout(explicit: Optional[float] = None) -> Optional[float]:
     return None
 
 
-# ---------------------------------------------------------------------------
-# Cost-aware scheduling
-# ---------------------------------------------------------------------------
-
-#: Rough cost of spawning one pool worker (interpreter start + package
-#: import + pickle round-trips), in the same abstract work units as
-#: :func:`estimate_kernel_work` (~microseconds of serial time).
-POOL_SPAWN_WORK = 250_000.0
-#: Minimum work a pool chunk should carry to amortize per-task IPC.
-CHUNK_MIN_WORK = 20_000.0
-
-
-@dataclass
-class DatasetBuildStats:
-    """How one ``measure_suite`` sweep was actually scheduled.
-
-    Filled in place when callers pass ``stats=`` — the BENCH artifact
-    and dataset reports use it to distinguish a genuine parallel win
-    from a deliberate, logged serial fallback.
-    """
-
-    total_kernels: int = 0
-    cached: int = 0
-    measured: int = 0
-    strategy: str = "none"  # "pool" | "serial" | "none" (fully cached)
-    workers: int = 1
-    chunksize: int = 1
-    estimated_work: float = 0.0
-    reason: str = ""
-    supervised: bool = True
-
-
-@dataclass(frozen=True)
-class ScheduleDecision:
-    strategy: str  # "pool" | "serial"
-    workers: int
-    chunksize: int
-    estimated_work: float
-    reason: str
-
-
-def estimate_kernel_work(kernel, *, sweep_points: int = 1) -> float:
-    """Estimated cost of one cache-miss measurement, in ~µs of serial time.
-
-    The analytic timing model is near-constant; the dominant variable
-    cost is guard-probability estimation, which interprets the kernel
-    for up to ``GUARD_SAMPLE_ITERS`` inner iterations.
-
-    ``sweep_points`` models a DSE-style plan sweep over the kernel:
-    beyond the first (already-counted) measurement, each extra plan
-    point pays a unroll/vectorize/lower/analyze pass but *not* another
-    guard-probability run (that is memoized per kernel).  Without this
-    term ``choose_strategy`` prices a 30-point sweep like a single
-    measurement and keeps 1-CPU hosts on phantom pools — or multi-CPU
-    hosts on serial loops — for DSE measurement batches.
-    """
-    from ..ir.stmt import IfBlock
-    from ..sim.measure import GUARD_SAMPLE_ITERS
-
-    stmts = max(1, sum(1 for _ in kernel.stmts()))
-    work = 2000.0 + 50.0 * stmts
-    if any(isinstance(s, IfBlock) for s in kernel.stmts()):
-        inner = min(kernel.inner.trip, GUARD_SAMPLE_ITERS)
-        outer = (
-            1
-            if kernel.depth == 1
-            else min(kernel.loops[0].trip, max(1, GUARD_SAMPLE_ITERS // 4))
-        )
-        work += 2.0 * stmts * inner * outer
-    if sweep_points > 1:
-        work += (sweep_points - 1) * (400.0 + 30.0 * stmts)
-    return work
-
-
-def choose_strategy(
-    work: list[float],
-    workers: int,
-    *,
-    faults_active: bool = False,
-    timeout: Optional[float] = None,
-) -> ScheduleDecision:
-    """Serial vs process pool, so the parallel path is never slower.
-
-    A pool only pays off when the work it can take off the main process
-    exceeds what spawning the workers costs — never true on a 1-CPU
-    host.  Two features force the pool regardless: an active fault plan
-    (injected faults must land in real worker processes) and a
-    per-kernel timeout (only a worker process can be killed mid-kernel).
-    """
-    total = float(sum(work))
-    tasks = len(work)
-    workers = min(workers, max(1, tasks))
-    if faults_active or timeout is not None:
-        reason = (
-            "fault plan active" if faults_active else "per-kernel timeout set"
-        )
-        if workers > 1 and tasks > 1:
-            return ScheduleDecision("pool", workers, 1, total, reason)
-        return ScheduleDecision("serial", 1, 1, total, reason)
-    if workers <= 1 or tasks <= 1:
-        return ScheduleDecision("serial", 1, 1, total, "single worker or task")
-    if (os.cpu_count() or 1) == 1:
-        return ScheduleDecision("serial", 1, 1, total, "cpu_count is 1")
-    # Pool wins iff spawn overhead < work taken off the main process.
-    savings = total * (1.0 - 1.0 / workers)
-    overhead = POOL_SPAWN_WORK * workers
-    if overhead >= savings:
-        return ScheduleDecision(
-            "serial",
-            1,
-            1,
-            total,
-            f"estimated work {total:.0f} below pool overhead {overhead:.0f}",
-        )
-    mean = total / tasks
-    chunk = max(
-        tasks // (4 * workers),
-        int(CHUNK_MIN_WORK / mean) if mean > 0 else 1,
-        1,
-    )
-    chunk = min(chunk, max(1, tasks // workers))
-    return ScheduleDecision(
-        "pool", workers, chunk, total, "estimated work amortizes pool spawn"
-    )
-
-
 #: Kernels that already passed verify+lint, pinned by identity so the
 #: check runs once per kernel object per process (warm rebuilds pay a
 #: set lookup, nothing more).
@@ -352,7 +223,7 @@ def _measure_named(
     attempt: int = 0,
     plan: Optional[FaultPlan] = None,
 ) -> Payload:
-    """Measure one kernel looked up by name (process-pool entry point).
+    """Measure one kernel looked up by name (every sweep path ends here).
 
     ``attempt``/``plan`` feed the fault-injection harness: any
     scheduled crash/hang/transient fires here, before the measurement,
@@ -371,13 +242,9 @@ def _measure_named(
     return sample_from_measurement(result), None
 
 
-def _worker(args: tuple) -> tuple[str, Payload]:
-    name, target_name, vectorizer, jitter, seed = args
-    return name, _measure_named(name, target_name, vectorizer, jitter, seed)
-
-
 def _supervised_worker(task: tuple) -> tuple[str, Payload]:
-    """Supervised-pool entry point: ``((args…), attempt, plan)``."""
+    """Supervisor entry point, in a pool or in-process: ``((args…),
+    attempt, plan)``."""
     (name, target_name, vectorizer, jitter, seed), attempt, plan = task
     return name, _measure_named(
         name, target_name, vectorizer, jitter, seed, attempt, plan
@@ -396,9 +263,7 @@ def measure_suite(
     partial: bool = False,
     resume: Optional[bool] = None,
     checkpoint_dir=None,
-    supervise: bool = True,
     faults: Union[FaultPlan, str, None] = None,
-    stats: Optional[DatasetBuildStats] = None,
     kernels=None,
     journal_tag: str = "",
 ):
@@ -406,38 +271,39 @@ def measure_suite(
 
     Returns ``(samples, failures)`` in input order — independent of
     worker count, cache state, and any faults the supervisor absorbed.
-    ``kernels`` overrides the sweep set (e.g. a generated-corpus shard);
+    ``kernels`` overrides the sweep set (e.g. a generated-corpus block);
     every kernel must be rebuildable by name through
     :func:`repro.tsvc.get_kernel`, because pool workers and checkpoint
     journals re-resolve kernels that way.  ``journal_tag`` namespaces
-    the checkpoint journal (shards of one corpus must not share a
+    the checkpoint journal (blocks of one corpus must not share a
     journal file).  ``prepass`` controls the verify+lint gate
     run before the cache is consulted (default on; ``REPRO_PREPASS=0``
     disables it).
 
     Fault tolerance (see :mod:`.resilience`): each uncached kernel
-    gets ``timeout`` seconds per attempt (``REPRO_TIMEOUT``) and up to
-    ``max_attempts`` tries (or a full ``retry`` policy); a kernel that
-    exhausts them is *quarantined*.  With ``partial=True`` the sweep
-    returns ``(samples, failures, report)`` — the surviving payloads
-    plus the structured :class:`FailureReport` — instead of raising
-    :class:`SweepError`.  When a checkpoint directory is active
-    (``checkpoint_dir`` / ``configure(checkpoint_dir=…)`` /
-    ``REPRO_CHECKPOINT_DIR``), completed payloads stream into a
-    journal and ``resume=True`` replays it, re-measuring only the
-    kernels the interrupted sweep never finished.  ``faults`` injects
-    deterministic chaos (a :class:`FaultPlan` or ``REPRO_FAULTS``-style
-    string; default: the environment's plan).
+    gets up to ``max_attempts`` tries (or a full ``retry`` policy) and,
+    with ``timeout`` set (``REPRO_TIMEOUT``), that many seconds per
+    attempt; a kernel that exhausts them is *quarantined*.  With
+    ``partial=True`` the sweep returns ``(samples, failures, report)``
+    — the surviving payloads plus the structured
+    :class:`FailureReport` — instead of raising :class:`SweepError`.
+    When a checkpoint directory is active (``checkpoint_dir`` /
+    ``configure(checkpoint_dir=…)`` / ``REPRO_CHECKPOINT_DIR``),
+    completed payloads stream into a journal and ``resume=True``
+    replays it, re-measuring only the kernels the interrupted sweep
+    never finished.  ``faults`` injects deterministic chaos (a
+    :class:`FaultPlan` or ``REPRO_FAULTS``-style string; default: the
+    environment's plan).
 
-    Scheduling is cost-aware: per-kernel work estimates decide between
-    a serial sweep and a process pool (and its chunk size) so the
-    parallel path is never slower than serial.  Pass a
-    :class:`DatasetBuildStats` as ``stats`` to receive the decision.
+    The sweep runs serially in this process unless it needs a pool: a
+    deadline always gets one (only a worker process can be killed
+    mid-kernel), and so does an active fault plan when more than one
+    worker is available (injected crashes and hangs land in real
+    worker processes).  ``workers`` sets that pool's width.
     """
     get_target(spec.target)  # validate the spec before any work
     if cache is None:
         cache = default_cache()
-    workers = resolve_workers(workers if workers is not None else spec.workers)
     timeout = resolve_timeout(timeout)
     if retry is None:
         if max_attempts is None:
@@ -487,31 +353,12 @@ def measure_suite(
             journal.discard()  # a fresh sweep starts a fresh journal
 
     report = FailureReport()
-    if stats is not None:
-        stats.total_kernels = len(kernels)
-        stats.cached = len(results)
-        stats.measured = len(pending)
-        stats.supervised = supervise
-        stats.strategy, stats.workers, stats.chunksize = "none", 1, 1
     if pending:
-        workers = resolve_workers(workers, pending=len(pending))
-        by_name = {k.name: k for k in kernels}
+        width = resolve_workers(workers, pending=len(pending))
         faults_active = faults is not None and any(
             float(r) > 0 for r in faults.rates.values()
         )
-        decision = choose_strategy(
-            [estimate_kernel_work(by_name[n]) for n in pending],
-            workers,
-            faults_active=faults_active,
-            timeout=timeout,
-        )
-        workers = decision.workers
-        if stats is not None:
-            stats.strategy = decision.strategy
-            stats.workers = decision.workers
-            stats.chunksize = decision.chunksize
-            stats.estimated_work = decision.estimated_work
-            stats.reason = decision.reason
+        use_pool = timeout is not None or (faults_active and width > 1)
 
         def on_complete(name: str, payload: Payload) -> None:
             results[name] = payload
@@ -522,25 +369,19 @@ def measure_suite(
             if journal is not None:
                 journal.append(fingerprints[name], name, payload)
 
-        if supervise:
-            tasks = {
-                name: (name, spec.target, spec.vectorizer, spec.jitter, spec.seed)
-                for name in pending
-            }
-            report = run_supervised(
-                tasks,
-                _supervised_worker,
-                workers=workers,
-                policy=retry,
-                timeout=timeout,
-                plan=faults,
-                on_complete=on_complete,
-            )
-        else:
-            for name, payload in _run_pending(
-                spec, pending, workers, decision.chunksize
-            ):
-                on_complete(name, payload)
+        tasks = {
+            name: (name, spec.target, spec.vectorizer, spec.jitter, spec.seed)
+            for name in pending
+        }
+        report = run_supervised(
+            tasks,
+            _supervised_worker,
+            workers=width if use_pool else None,
+            policy=retry,
+            timeout=timeout,
+            plan=faults,
+            on_complete=on_complete,
+        )
 
     if report.quarantined and not partial:
         raise SweepError(report)
@@ -577,30 +418,8 @@ def _resolve_journal(
         code_digest(), spec.target, spec.vectorizer, spec.jitter, spec.seed
     ]
     if tag:
-        # Extra namespace for corpus shards; the untagged key is
+        # Extra namespace for corpus blocks; the untagged key is
         # unchanged so existing suite journals stay resumable.
         parts.append(tag)
     key = journal_key(*parts)
     return CheckpointJournal.for_sweep(directory, key)
-
-
-def _run_pending(
-    spec: "DatasetSpec", names: list[str], workers: int, chunksize: int = 1
-):
-    """Yield ``(name, payload)`` for every uncached kernel."""
-    args = [
-        (name, spec.target, spec.vectorizer, spec.jitter, spec.seed)
-        for name in names
-    ]
-    if workers > 1 and len(names) > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                chunk = max(1, chunksize)
-                yield from pool.map(_worker, args, chunksize=chunk)
-            return
-        except (OSError, PermissionError, ImportError):
-            # Sandboxes that forbid multiprocessing primitives fall back
-            # to the serial path rather than failing the build.
-            pass
-    for a in args:
-        yield _worker(a)

@@ -300,13 +300,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         default=0,
         metavar="N",
         help="also chaos-test a generated corpus of N kernels (suite + "
-        "synthetic) through the sharded sweep (default: suite only)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=3,
-        help="shard count for the faulted --corpus sweep (default: 3)",
+        "synthetic) through the corpus sweep (default: suite only)",
     )
     parser.add_argument(
         "--gen-seed",
@@ -335,10 +329,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     }[args.specs]
 
     no_cache = MeasurementCache(root="/nonexistent", enabled=False)
+    # The reference sweeps pass an empty plan so REPRO_FAULTS cannot
+    # reach them.
     failures = 0
     for spec in specs:
         clean, clean_fail = measure_suite(
-            spec, workers=1, cache=no_cache, supervise=False
+            spec, cache=no_cache, faults=FaultPlan()
         )
         chaotic, chaos_fail, report = measure_suite(
             spec,
@@ -363,7 +359,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             failures += 1
 
         if args.corpus > 0:
-            # The generated-corpus leg: a faulted *sharded* sweep over
+            # The generated-corpus leg: a faulted corpus sweep over
             # suite + synthetic kernels must converge bit-identically
             # to a clean serial sweep of the same names.
             from ..experiments.corpus import corpus_kernel_names
@@ -371,17 +367,11 @@ def main(argv: Optional[list[str]] = None) -> int:
 
             names = corpus_kernel_names(args.corpus, seed=args.gen_seed)
             clean_res = measure_corpus(
-                names,
-                spec,
-                shards=1,
-                workers=1,
-                cache=no_cache,
-                supervise=False,
+                names, spec, cache=no_cache, faults=FaultPlan()
             )
             chaos_res = measure_corpus(
                 names,
                 spec,
-                shards=args.shards,
                 workers=args.workers,
                 cache=no_cache,
                 timeout=timeout,
@@ -394,8 +384,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             )
             c_ok = c_parity and not chaos_res.quarantined_names
             print(
-                f"[chaos] {spec.label} corpus({len(names)}, "
-                f"{chaos_res.shards} shards): "
+                f"[chaos] {spec.label} corpus({len(names)}): "
                 f"{len(chaos_res.samples)} samples, "
                 f"{len(chaos_res.failures)} not vectorizable, "
                 f"{len(chaos_res.quarantined_names)} quarantined, "

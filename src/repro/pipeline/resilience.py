@@ -1,9 +1,9 @@
 """Supervised execution for the measurement sweep.
 
-The raw ``ProcessPoolExecutor`` path treats any worker problem as
-fatal: one crash raises ``BrokenProcessPool`` and throws away the
-whole 151-kernel sweep, and a hang blocks it forever.  This module
-wraps the pool in a supervisor that treats per-kernel failure as data:
+Every sweep runs under a supervisor that treats per-kernel failure as
+data.  It runs in this process by default; a sweep that needs a
+process it can kill or lose (a deadline, or injected crashes and
+hangs) gets a ``ProcessPoolExecutor`` instead:
 
 * **deadlines** — each in-flight kernel gets ``timeout`` seconds; an
   overdue worker is killed and the kernel retried on a fresh pool;
@@ -23,7 +23,8 @@ wraps the pool in a supervisor that treats per-kernel failure as data:
   last completed kernel, surviving torn tail records;
 * **degradation** — if the pool cannot be (re)built the supervisor
   drops to the serial in-process path and says so through the
-  PR-2 diagnostics engine (``[-Rpass-missed=measurement-pipeline]``).
+  static-analysis diagnostics engine
+  (``[-Rpass-missed=measurement-pipeline]``).
 
 Because the per-kernel measurement is deterministic (noise seeded from
 ``crc32(kernel.name)``), none of this machinery can change a value:
@@ -352,7 +353,7 @@ def run_supervised(
     tasks: dict[str, tuple],
     worker: Callable[[tuple], tuple[str, object]],
     *,
-    workers: int,
+    workers: Optional[int] = None,
     policy: Optional[RetryPolicy] = None,
     timeout: Optional[float] = None,
     plan: Optional[FaultPlan] = None,
@@ -362,8 +363,11 @@ def run_supervised(
 
     ``tasks`` maps kernel name → the measurement args; ``worker`` is a
     picklable function taking ``(args, attempt, plan)`` and returning
-    ``(name, payload)``.  ``on_complete`` fires in the supervisor as
-    each payload lands (cache write, journal append).  Returns the
+    ``(name, payload)``.  ``workers`` is the width of the process pool
+    the tasks run in; ``None`` runs them one after another in this
+    process, with retries and quarantine but no deadline.
+    ``on_complete`` fires in the supervisor as each payload lands
+    (cache write, journal append).  Returns the
     :class:`FailureReport`; completed names are exactly
     ``set(tasks) - set(report.names())``.
     """
@@ -411,7 +415,7 @@ def run_supervised(
                 continue
             on_complete(name, payload)
 
-    if workers <= 1 or len(tasks) <= 1:
+    if workers is None:
         run_serial()
         return report
 

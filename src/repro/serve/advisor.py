@@ -15,13 +15,6 @@ Robustness contract:
   flag, predicted/reference speedups, model version) is a pure
   function of the request and the published weights — degraded modes
   reproduce it bit-exactly, which is what the chaos gate checks;
-* the ``plan`` field — the published model's best
-  :class:`~repro.vectorize.plan.PlanPoint` over the kernel's
-  legality-pruned plan space, scored in one batched predict — is
-  *advisory*: it lives outside the core, appears only when a fitted
-  model is published and the prepass breaker is closed, and any
-  internal fault silently yields ``plan: null`` instead of degrading
-  the verdict;
 * everything that may legitimately differ under degradation (remarks,
   the ``degraded`` list, timings) lives *outside* the core;
 * the analysis prepass sits behind a circuit breaker; a tripped
@@ -216,7 +209,6 @@ class Advisor:
                 "predicted_speedup": None,
                 "reference_speedup": None,
                 "model": None,
-                "plan": None,
                 "reason": measured.reason,
             }
             diags.warning(
@@ -249,7 +241,6 @@ class Advisor:
                 "predicted_speedup": predicted,
                 "reference_speedup": reference,
                 "model": model_id,
-                "plan": self._plan_hint(kernel, target, entry),
             }
 
         if degraded:
@@ -330,37 +321,6 @@ class Advisor:
             degraded.append("analysis prepass faulted")
             return
         self.prepass_breaker.record_success()
-
-    def _plan_hint(self, kernel, target, entry) -> Optional[dict]:
-        """The model's best plan point over the legality-pruned space.
-
-        Advisory only, never load-bearing: returns ``None`` without a
-        published entry, when the prepass breaker is not closed (plan
-        enumeration leans on the same analyses the prepass does; the
-        non-claiming ``state`` read leaves half-open probe slots to the
-        prepass itself), or on any internal fault.  Nothing here
-        appends to ``degraded`` or moves a breaker — the degraded-mode
-        matrix pins both clause counts and verdict bits.
-        """
-        if entry is None:
-            return None
-        if self.prepass_breaker.state != "closed":
-            return None
-        try:
-            from ..dse.oracle import pick_best, score_points_entry
-            from ..vectorize.plan import enumerate_plan_points
-
-            points = enumerate_plan_points(kernel, target, manager=self._am)
-            scores = score_points_entry(kernel, target, points, entry)
-            _best_idx, best, score = pick_best(points, scores)
-            return {
-                "point": best.to_dict(),
-                "label": best.label(),
-                "predicted_speedup": float(score),
-                "n_points": len(points),
-            }
-        except Exception:
-            return None
 
     # -- introspection ------------------------------------------------------
 

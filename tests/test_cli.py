@@ -37,38 +37,6 @@ def test_unknown_id_raises():
         main(["E42"])
 
 
-def test_serial_flag(capsys):
-    assert main(["E1", "E2", "--serial", "--no-scatter"]) == 0
-    out = capsys.readouterr().out
-    assert "suite: 2 experiments" in out
-    assert "(serial, 1 job(s)" in out
-
-
-def test_jobs_flag(capsys):
-    assert main(["E1", "E2", "--jobs", "2", "--no-scatter"]) == 0
-    out = capsys.readouterr().out
-    assert "suite: 2 experiments" in out
-    assert "2 job(s)" in out
-
-
-def test_parallel_and_serial_tables_identical(capsys):
-    assert main(["E1", "E3", "--no-scatter"]) == 0
-    parallel_out = capsys.readouterr().out
-    assert main(["E1", "E3", "--serial", "--no-scatter"]) == 0
-    serial_out = capsys.readouterr().out
-
-    def tables(text):
-        # Strip the timing lines; the tables themselves must match.
-        return [
-            line
-            for line in text.splitlines()
-            if not (line.startswith("[") and "completed in" in line)
-            and not line.startswith("[suite:")
-        ]
-
-    assert tables(parallel_out) == tables(serial_out)
-
-
 def test_bench_writes_report(tmp_path, capsys):
     out_file = tmp_path / "bench.json"
     assert main(["E1", "E2", "--bench", "--bench-out", str(out_file)]) == 0
@@ -77,9 +45,8 @@ def test_bench_writes_report(tmp_path, capsys):
 
     bench = json.loads(out_file.read_text())
     assert bench["ids"] == ["E1", "E2"]
-    assert bench["parallel_serial_tables_identical"] is True
     assert bench["seed_engine_tables_identical_e1_e11"] is True
-    for section in ("seed", "engine_cold", "engine_warm", "engine_serial"):
+    for section in ("seed", "engine_cold", "engine_warm"):
         assert bench[section]["total_s"] >= 0.0
     out = capsys.readouterr().out
     assert "bench written to" in out

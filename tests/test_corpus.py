@@ -1,24 +1,22 @@
-"""Corpus-scale machinery tests: the sharded sweep orchestrator
+"""Corpus-scale machinery tests: the block sweep orchestrator
 (:mod:`repro.pipeline.corpus`) and the E13 plumbing on top.
 
-The load-bearing property throughout is *bit-identity*: sharding,
-streaming, and resumption are allowed to change wall-clock
-and peak memory, never a single measured float.
+The load-bearing property throughout is *bit-identity*: blocks and
+resumption are allowed to change wall-clock, never a single measured
+float.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-
 import pytest
 
+from repro.analysis.framework.passmanager import default_manager
 from repro.experiments import ARM_LLV
 from repro.experiments.corpus import corpus_kernel_names, e13_sizes
 from repro.gen import clear_gen_memo, corpus_names
-from repro.pipeline import MeasurementCache, measure_corpus, partition_names
+from repro.pipeline import MeasurementCache, measure_corpus, measure_suite
 from repro.pipeline.faultinject import _samples_equal
-from repro.tsvc import kernel_names
+from repro.tsvc import get_kernel, kernel_names
 
 
 def nocache() -> MeasurementCache:
@@ -30,24 +28,6 @@ def _fresh_state():
     clear_gen_memo()
     yield
     clear_gen_memo()
-
-
-class TestPartition:
-    def test_concatenation_preserves_order(self):
-        names = [f"k{i}" for i in range(17)]
-        for shards in (1, 2, 3, 5, 17, 40):
-            blocks = partition_names(names, shards)
-            assert [n for b in blocks for n in b] == names
-
-    def test_near_even(self):
-        blocks = partition_names([f"k{i}" for i in range(17)], 5)
-        sizes = [len(b) for b in blocks]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_degenerate_inputs(self):
-        assert partition_names([], 4) == []
-        assert partition_names(["a"], 4) == [["a"]]
-        assert partition_names(["a", "b"], 0) == [["a", "b"]]
 
 
 class TestCorpusNames:
@@ -72,60 +52,43 @@ class TestCorpusNames:
         assert len(e13_sizes()) >= 4  # the default learning curve
 
 
-class TestShardedBitIdentity:
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Shrink the analysis manager's bound so corpora span blocks."""
+    monkeypatch.setattr(default_manager(), "max_kernels", 5)
+
+
+class TestBlocks:
     NAMES = sorted(kernel_names())[:8] + corpus_names(10, seed=3)
 
-    def _serial(self):
-        return measure_corpus(
-            self.NAMES, ARM_LLV, shards=1, workers=1,
-            supervise=False, cache=nocache(),
+    def test_blocks_equal_one_serial_sweep(self, small_blocks):
+        single, single_fail = measure_suite(
+            ARM_LLV,
+            cache=nocache(),
+            kernels=[get_kernel(n) for n in self.NAMES],
         )
+        blocked = measure_corpus(self.NAMES, ARM_LLV, cache=nocache())
+        assert _samples_equal(single, blocked.samples)
+        assert single_fail == blocked.failures
+        assert not blocked.quarantined_names
 
-    def test_sharded_equals_serial(self):
-        serial = self._serial()
-        sharded = measure_corpus(
-            self.NAMES, ARM_LLV, shards=4, workers=1,
-            supervise=False, cache=nocache(),
-        )
-        assert sharded.shards == 4
-        assert _samples_equal(serial.samples, sharded.samples)
-        assert serial.failures == sharded.failures
-        assert not sharded.quarantined_names
+    def test_block_sizes_follow_the_manager_bound(self, small_blocks):
+        from repro.pipeline.corpus import _blocks
 
-    def test_streamed_merge_equals_in_memory(self, tmp_path):
-        serial = self._serial()
-        streamed = measure_corpus(
-            self.NAMES, ARM_LLV, shards=3, workers=1,
-            supervise=False, cache=nocache(), stream_dir=str(tmp_path),
-        )
-        assert _samples_equal(serial.samples, streamed.samples)
-        files = sorted(os.listdir(tmp_path))
-        assert files == [f"shard-{k:04d}-of-0003.pkl" for k in range(3)]
-        with open(tmp_path / files[0], "rb") as fh:
-            samples, _ = pickle.load(fh)
-        assert [s.name for s in samples] == [
-            s.name for s in serial.samples[: len(samples)]
-        ]
-
-    def test_per_shard_stats_are_collected(self):
-        res = measure_corpus(
-            self.NAMES, ARM_LLV, shards=2, workers=1,
-            supervise=False, cache=nocache(),
-        )
-        assert len(res.shard_stats) == 2
+        blocks = _blocks(self.NAMES)
+        assert [n for b in blocks for n in b] == self.NAMES
+        assert [len(b) for b in blocks] == [5, 5, 4, 4]
+        assert _blocks([]) == []
 
 
 class TestChaosCorpusGate:
-    def test_faulted_sharded_corpus_converges(self):
+    def test_faulted_sharded_corpus_converges(self, small_blocks):
         from repro.pipeline import RetryPolicy, parse_faults
 
         names = sorted(kernel_names())[:4] + corpus_names(8, seed=3)
-        clean = measure_corpus(
-            names, ARM_LLV, shards=1, workers=1,
-            supervise=False, cache=nocache(),
-        )
+        clean = measure_corpus(names, ARM_LLV, cache=nocache())
         chaotic = measure_corpus(
-            names, ARM_LLV, shards=3, workers=2, cache=nocache(),
+            names, ARM_LLV, workers=2, cache=nocache(),
             faults=parse_faults("crash:0.1,flaky_exc:0.15", seed=5),
             retry=RetryPolicy(max_attempts=6, base_delay=0.01),
         )

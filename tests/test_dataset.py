@@ -78,8 +78,9 @@ def test_duplicate_kernel_names_rejected():
         Dataset(ARM_LLV, samples=[ds.samples[0], ds.samples[0]])
 
 
-def test_workers_not_in_measurement_identity():
+def test_workers_not_in_measurement_identity(monkeypatch):
     """Any worker count returns the same memoized dataset object."""
     ds = build_dataset(ARM_LLV)
-    assert build_dataset(DatasetSpec("armv8-neon", "llv", workers=2)) is ds
+    monkeypatch.setenv("REPRO_WORKERS", "2")
+    assert build_dataset(DatasetSpec("armv8-neon", "llv")) is ds
     assert ARM_LLV.identity == ("armv8-neon", "llv", 0.02, 0)

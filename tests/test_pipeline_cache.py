@@ -17,7 +17,7 @@ from repro.tsvc import get_kernel
 
 from tests.helpers import build
 
-SPEC = DatasetSpec("armv8-neon", "llv", workers=1)
+SPEC = DatasetSpec("armv8-neon", "llv")
 
 
 def fp_for(spec: DatasetSpec, name: str = "s000") -> str:
@@ -51,8 +51,15 @@ def test_fingerprint_differs_across_kernels():
     assert fp_for(SPEC, "s000") != fp_for(SPEC, "s111")
 
 
-def test_workers_not_part_of_fingerprint():
-    assert fp_for(SPEC) == fp_for(DatasetSpec("armv8-neon", "llv", workers=8))
+def test_workers_not_part_of_fingerprint(tmp_path):
+    """Entries a pool wrote are hits for a serial sweep: the pool width
+    never enters the measurement fingerprint."""
+    cache = MeasurementCache(root=tmp_path)
+    kernels = [get_kernel(n) for n in ("s000", "s111", "s1112")]
+    measure_suite(SPEC, cache=cache, kernels=kernels, workers=2, timeout=300.0)
+    assert cache.stats.stores == len(kernels)
+    measure_suite(SPEC, cache=cache, kernels=kernels, workers=1)
+    assert cache.stats.hits == len(kernels)
 
 
 def scaled_kernel(scale: float):
@@ -203,5 +210,5 @@ def test_spec_change_misses_cache(tmp_path):
     cache = MeasurementCache(root=tmp_path)
     measure_suite(SPEC, cache=cache)
     hits_before = cache.stats.hits
-    measure_suite(DatasetSpec("armv8-neon", "llv", seed=3, workers=1), cache=cache)
+    measure_suite(DatasetSpec("armv8-neon", "llv", seed=3), cache=cache)
     assert cache.stats.hits == hits_before  # nothing reused across seeds

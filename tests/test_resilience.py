@@ -279,7 +279,10 @@ def test_resume_remeasures_only_incomplete_kernels(tmp_path, monkeypatch):
     # Fabricate the journal an interrupted sweep would have left: the
     # first 40 kernels completed, then the process died mid-record.
     journal = _resolve_journal(SPEC, ckpt)
-    for name, payload in build_mod._run_pending(SPEC, done, 1):
+    for name in done:
+        payload = build_mod._measure_named(
+            name, SPEC.target, SPEC.vectorizer, SPEC.jitter, SPEC.seed
+        )
         fp = measurement_fingerprint(
             next(k for k in kernels if k.name == name),
             SPEC.target,
@@ -381,8 +384,8 @@ def test_degrades_to_serial_when_pool_unavailable(tmp_path, monkeypatch):
     pipeline_diagnostics().clear()
     clean, clean_fail = clean_sweep(tmp_path)
     # A per-kernel timeout forces a pool request — without one the
-    # cost-aware scheduler may legitimately choose serial upfront and
-    # the degradation path under test would never run.
+    # sweep runs serially upfront and the degradation path under test
+    # would never run.
     samples, failures, report = measure_suite(
         SPEC, workers=4, cache=no_cache(tmp_path), partial=True, timeout=600.0
     )

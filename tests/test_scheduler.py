@@ -18,7 +18,6 @@ from repro.experiments import (
 )
 from repro.experiments.scheduler import (
     SPEC_REQUIREMENTS,
-    default_jobs,
     normalize_ids,
     required_specs,
 )
@@ -26,8 +25,8 @@ from repro.experiments.registry import EXPERIMENTS, EXPLICIT_ONLY
 from repro.fitting import LeastSquares, NonNegativeLeastSquares
 
 #: A cheap cross-section: ARM drivers, an x86 driver, a shared-fit
-#: driver (E2) — enough to exercise ordering, sharing, and parallelism
-#: without paying for the full suite in every test.
+#: driver (E2) — enough to exercise ordering and sharing without
+#: paying for the full suite in every test.
 FAST_IDS = ["E1", "E2", "E3", "E9"]
 
 
@@ -64,39 +63,24 @@ class TestNormalizeIds:
         assert required_specs(["E9"]) == [X86_SLP]
         assert required_specs(["E1", "E12"]) == [ARM_LLV, X86_SLP]
 
-    def test_default_jobs_bounded_by_tasks(self):
-        assert default_jobs(1) == 1
-        assert 1 <= default_jobs(12) <= 12
-
 
 class TestRunSuite:
     def test_results_in_registry_order(self):
-        run = run_suite(FAST_IDS, parallel=True)
+        run = run_suite(FAST_IDS)
         assert [r.id for r in run.results] == FAST_IDS
-
-    def test_parallel_serial_tables_identical(self):
-        par = run_suite(FAST_IDS, parallel=True, jobs=4)
-        clear_engine_cache()
-        ser = run_suite(FAST_IDS, parallel=False)
-        assert par.tables_text() == ser.tables_text()
 
     def test_engine_tables_match_seed_path(self):
         """The engine must not change a paper experiment's table."""
-        engine = run_suite(FAST_IDS, parallel=True)
+        engine = run_suite(FAST_IDS)
         with seed_mode():
-            seed = run_suite(FAST_IDS, parallel=False)
+            seed = run_suite(FAST_IDS)
         assert engine.tables_text() == seed.tables_text()
 
     def test_wall_times_recorded(self):
-        run = run_suite(["E1", "E2"], parallel=False)
+        run = run_suite(["E1", "E2"])
         assert set(run.wall_by_id) == {"E1", "E2"}
         assert all(w >= 0.0 for w in run.wall_by_id.values())
         assert run.total_s >= run.drivers_s
-        assert run.mode == "serial" and run.jobs == 1
-
-    def test_single_experiment_runs_serial(self):
-        run = run_suite(["E1"], parallel=True)
-        assert run.mode == "serial"
 
 
 class TestEngineMemo:

@@ -124,19 +124,6 @@ def test_degraded_cell_returns_verdict_with_one_remark(
     expected_heals = 1 if with_model and not disk_intact else 0
     assert advisor.registry.stats.heals == expected_heals
 
-    # The advisory plan field rides along exactly when a model is
-    # published and the prepass breaker is closed (plan enumeration
-    # leans on the prepass analyses; one faulting prepass leaves the
-    # breaker closed); it never adds a degraded clause (asserted via
-    # the counts below).
-    if with_model and not prepass_open:
-        assert resp["plan"] is not None
-        assert resp["plan"]["label"]
-        assert resp["plan"]["predicted_speedup"] > 0
-        assert resp["plan"]["n_points"] >= 1
-    else:
-        assert resp["plan"] is None
-
     # An open breaker skips the prepass, so a fault inside it never
     # fires: the two prepass dimensions collapse into one clause.
     if prepass_open:
@@ -174,23 +161,3 @@ def test_verdict_bits_invariant_across_degradations(
         cores.add(canonical_verdict(advisor.advise({"kernel": GUARDED})))
     assert len(cores) == 1
 
-
-def test_plan_hint_gated_by_prepass_breaker(tmp_path, fitted_entry):
-    """The new cell: an open *prepass* breaker strips the advisory
-    plan (its enumeration leans on the prepass analyses) but leaves
-    the verdict core bit-identical to the healthy cell."""
-    from repro.serve import canonical_verdict
-
-    registry = ModelRegistry(tmp_path / "reg-closed")
-    registry.publish(fitted_entry)
-    healthy = Advisor(registry).advise({"kernel": GUARDED})
-    assert healthy["plan"] is not None
-
-    registry2 = ModelRegistry(tmp_path / "reg-open")
-    registry2.publish(fitted_entry)
-    tripped = Advisor(registry2)
-    tripped.prepass_breaker.force_open()
-    resp = tripped.advise({"kernel": GUARDED})
-    assert resp["plan"] is None
-    assert "analysis prepass skipped (breaker open)" in resp["degraded"]
-    assert canonical_verdict(resp) == canonical_verdict(healthy)
