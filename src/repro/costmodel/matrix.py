@@ -21,15 +21,14 @@ Contract:
   :func:`register_featurizer`).  Unregistered callables — ad-hoc
   lambdas in tests, user extensions — fall back to the per-sample loop
   and are never cached, so custom models keep their exact semantics.
-* ``REPRO_MATRIX_CACHE=0`` (or :func:`matrix_cache_disabled`) disables
-  the cross-call memo; bundles are then rebuilt per call, which is the
-  seed-path behavior the benchmarks compare against.
+* :func:`matrix_cache_disabled` disables the cross-call memo; bundles
+  are then rebuilt per call, which is the seed-path behavior the
+  benchmarks compare against.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -44,7 +43,7 @@ CACHE_CAPACITY = 16
 
 _LOCK = threading.Lock()
 _BUNDLES: "OrderedDict[str, MatrixBundle]" = OrderedDict()
-_ENABLED = os.environ.get("REPRO_MATRIX_CACHE", "1") != "0"
+_ENABLED = True
 _HITS = 0
 _MISSES = 0
 

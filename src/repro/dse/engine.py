@@ -9,7 +9,7 @@ and the benchmarks call.  It layers two things over the raw drivers:
   same cell share one computation.  The model fingerprint hashes the
   fitted weights — bumping a registry model version (or refitting on
   new data) changes the weights and invalidates every dependent search.
-  ``REPRO_DSE_CACHE=0`` disables the memo.
+  :func:`dse_cache_disabled` bypasses the memo.
 * **Chaos hardening**: injected faults (``REPRO_FAULTS``) land at the
   ``dse:<kernel>`` site inside a bounded retry loop.  The fault plan's
   decisions are sha256-seeded per (site, attempt), so retries drain the
@@ -21,7 +21,6 @@ and the benchmarks call.  It layers two things over the raw drivers:
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from contextlib import contextmanager
 from typing import Iterator, Optional
@@ -40,7 +39,7 @@ from . import oracle, points as points_mod, search
 #: considered permanent (matches the sweep supervisor's default).
 MAX_ATTEMPTS = 5
 
-_DSE_ENABLED = os.environ.get("REPRO_DSE_CACHE", "1") != "0"
+_DSE_ENABLED = True
 _DSE_LOCK = threading.Lock()
 _DSE_MEMO: dict[tuple, search.SearchResult] = {}
 _DSE_KEY_LOCKS: dict[tuple, threading.Lock] = {}

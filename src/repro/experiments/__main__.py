@@ -109,7 +109,8 @@ def main(argv: list[str] | None = None) -> int:
     pipe.add_argument(
         "--clear-cache",
         action="store_true",
-        help="delete all persistent cache entries before running",
+        help="delete all measurement-cache entries before running "
+        "(the registry and checkpoints under the cache root stay)",
     )
     pipe.add_argument(
         "--cache-stats",
@@ -138,14 +139,14 @@ def main(argv: list[str] | None = None) -> int:
         "--checkpoint-dir",
         default=None,
         metavar="DIR",
-        help="journal completed measurements here so an interrupted "
+        help="checkpoint completed measurements here so an interrupted "
         "sweep can be resumed (default: REPRO_CHECKPOINT_DIR env; "
         "off when unset)",
     )
     fault.add_argument(
         "--resume",
         action="store_true",
-        help="replay the checkpoint journal: only kernels the previous "
+        help="resume from the sweep's checkpoint: only kernels the previous "
         "(interrupted) sweep never completed are re-measured",
     )
     args = parser.parse_args(argv)
@@ -165,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         resume=True if args.resume else None,
     )
     if args.resume and args.checkpoint_dir is None:
-        # --resume without a directory still needs a journal to read.
+        # --resume without a directory still needs a checkpoint to read.
         from ..pipeline import default_checkpoint_dir
 
         configure(checkpoint_dir=str(default_checkpoint_dir()))
@@ -192,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
         f"(dataset builds {run.build_s:.1f}s)]"
     )
     if args.cache_stats:
-        print(f"[{default_cache().stats}]")
+        print(f"[cache: {default_cache().stats}]")
     return 0
 
 

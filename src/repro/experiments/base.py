@@ -5,14 +5,13 @@ E1–E12 share fitted models and LOOCV sweeps.  The suite fits, e.g.,
 rated-NNLS on the ARM dataset in four different drivers (E4, E5, E6,
 E7); with the memo the first caller pays and the rest reuse the
 fitted model.  Keys are (dataset fingerprint, model name), so any
-change to the sample list rebuilds.  ``REPRO_ENGINE_CACHE=0`` or
-:func:`engine_cache_disabled` restores the per-driver seed behavior.
+change to the sample list rebuilds.  :func:`engine_cache_disabled`
+restores the per-driver seed behavior.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -107,7 +106,7 @@ def _regressor(method: str):
 
 # -- the engine memo ---------------------------------------------------------
 
-_ENGINE_ENABLED = os.environ.get("REPRO_ENGINE_CACHE", "1") != "0"
+_ENGINE_ENABLED = True
 _ENGINE_LOCK = threading.Lock()
 _ENGINE_MEMO: dict[tuple, object] = {}
 _ENGINE_KEY_LOCKS: dict[tuple, threading.Lock] = {}

@@ -262,8 +262,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--registry",
         default=None,
         metavar="DIR",
-        help="registry root for --publish "
-        "(default: REPRO_SERVE_REGISTRY env or .repro-registry)",
+        help="registry root for --publish (default: REPRO_SERVE_REGISTRY "
+        "env or <cache>/registry, the one serve reads)",
     )
     parser.add_argument(
         "--json",
@@ -303,9 +303,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         )
         summary["fit"] = row
         if args.publish:
-            root = args.registry or os.environ.get(
-                "REPRO_SERVE_REGISTRY", ".repro-registry"
-            )
+            from ..serve.registry import default_registry_dir
+
+            root = args.registry or default_registry_dir()
             entry = publish_corpus_model(
                 model, result.samples, spec, root
             )
@@ -315,7 +315,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 f"{entry.dataset_fingerprint[:12]}) to {root}"
             )
             summary["published_version"] = entry.version
-            summary["registry"] = root
+            summary["registry"] = str(root)
     if args.json_out:
         with open(args.json_out, "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)

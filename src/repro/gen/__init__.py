@@ -6,7 +6,7 @@ name→kernel generation over the TSVC category taxonomy
 tests (:mod:`.shrink`).  The TSVC registry delegates unknown names of
 the form ``gx{seed}_{index}_{category}`` here, so generated kernels
 flow through every existing pipeline layer — supervised pools rebuild
-them by name, checkpoint journals replay them, the chaos harness
+them by name, sweep checkpoints resume them, the chaos harness
 faults them — without those layers knowing the corpus exists.
 """
 

@@ -21,7 +21,6 @@ from .faultinject import (
     plan_from_env,
 )
 from .resilience import (
-    CheckpointJournal,
     FailureReport,
     KernelFailure,
     RetryPolicy,
@@ -32,7 +31,6 @@ from .resilience import (
 )
 from .cache import (
     MISS,
-    CacheStats,
     MeasurementCache,
     cache_enabled_by_env,
     default_cache,
@@ -59,7 +57,6 @@ __all__ = [
     "InjectedFault",
     "parse_faults",
     "plan_from_env",
-    "CheckpointJournal",
     "FailureReport",
     "KernelFailure",
     "RetryPolicy",
@@ -68,7 +65,6 @@ __all__ = [
     "pipeline_diagnostics",
     "run_supervised",
     "MISS",
-    "CacheStats",
     "MeasurementCache",
     "cache_enabled_by_env",
     "default_cache",

@@ -25,7 +25,9 @@ kernels so no idle process is ever spawned.
 
 from __future__ import annotations
 
+import hashlib
 import os
+import pickle
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -38,17 +40,23 @@ from ..sim.measure import measure_kernel
 from ..targets.registry import get_target
 from ..tsvc.suite import all_kernels, get_kernel
 from ..vectorize.plan import VectorizationFailure
+from ..store import MISS, Store
 from . import faultinject
-from .cache import MISS, MeasurementCache, default_cache
+from .cache import MeasurementCache, default_cache
 from .faultinject import FaultPlan
-from .fingerprint import measurement_fingerprint
+from .fingerprint import (
+    PIPELINE_SCHEMA_VERSION,
+    code_digest,
+    measurement_fingerprint,
+)
 from .resilience import (
-    CheckpointJournal,
+    PASS_NAME,
+    SUITE_LOC,
     FailureReport,
     RetryPolicy,
     SweepError,
     default_checkpoint_dir,
-    journal_key,
+    pipeline_diagnostics,
     run_supervised,
 )
 
@@ -273,12 +281,11 @@ def measure_suite(
     worker count, cache state, and any faults the supervisor absorbed.
     ``kernels`` overrides the sweep set (e.g. a generated-corpus block);
     every kernel must be rebuildable by name through
-    :func:`repro.tsvc.get_kernel`, because pool workers and checkpoint
-    journals re-resolve kernels that way.  ``journal_tag`` namespaces
-    the checkpoint journal (blocks of one corpus must not share a
-    journal file).  ``prepass`` controls the verify+lint gate
-    run before the cache is consulted (default on; ``REPRO_PREPASS=0``
-    disables it).
+    :func:`repro.tsvc.get_kernel`, because pool workers re-resolve
+    kernels that way.  ``journal_tag`` namespaces the checkpoint
+    (blocks of one corpus must not share one).  ``prepass`` controls
+    the verify+lint gate run before the cache is consulted (default
+    on).
 
     Fault tolerance (see :mod:`.resilience`): each uncached kernel
     gets up to ``max_attempts`` tries (or a full ``retry`` policy) and,
@@ -289,9 +296,10 @@ def measure_suite(
     :class:`FailureReport` — instead of raising :class:`SweepError`.
     When a checkpoint directory is active (``checkpoint_dir`` /
     ``configure(checkpoint_dir=…)`` / ``REPRO_CHECKPOINT_DIR``),
-    completed payloads stream into a journal and ``resume=True``
-    replays it, re-measuring only the kernels the interrupted sweep
-    never finished.  ``faults`` injects deterministic chaos (a
+    each completed payload lands in the sweep's checkpoint and
+    ``resume=True`` restores them, re-measuring only the kernels the
+    interrupted sweep never finished (or whose entries fail
+    verification).  ``faults`` injects deterministic chaos (a
     :class:`FaultPlan` or ``REPRO_FAULTS``-style string; default: the
     environment's plan).
 
@@ -320,9 +328,7 @@ def measure_suite(
         resume = bool(_CONFIG.resume)
 
     kernels = list(all_kernels()) if kernels is None else list(kernels)
-    if prepass is None:
-        prepass = os.environ.get("REPRO_PREPASS", "1") != "0"
-    if prepass:
+    if prepass is None or prepass:
         static_prepass(kernels)
     results: dict[str, Payload] = {}
     pending: list[str] = []
@@ -338,19 +344,26 @@ def measure_suite(
         else:
             results[kern.name] = payload
 
-    journal = _resolve_journal(spec, checkpoint_dir, tag=journal_tag)
-    if journal is not None:
+    checkpoint = _resolve_checkpoint(spec, checkpoint_dir, tag=journal_tag)
+    if checkpoint is not None:
         if resume:
-            restored = journal.load(valid=set(fingerprints.values()))
-            by_fp = {fingerprints[n]: n for n in pending}
-            for fp, payload in restored.items():
-                name = by_fp.get(fp)
-                if name is not None:
+            for name in pending:
+                payload = checkpoint.get(fingerprints[name], pickle.loads)
+                if payload is not MISS:
                     results[name] = payload
-                    cache.put(fp, payload)
+                    cache.put(fingerprints[name], payload)
             pending = [n for n in pending if n not in results]
+            if checkpoint.stats.corrupt:
+                pipeline_diagnostics().warning(
+                    PASS_NAME,
+                    SUITE_LOC,
+                    f"evicted {checkpoint.stats.corrupt} damaged entries "
+                    f"from checkpoint {checkpoint.root.name}; re-measuring "
+                    "those kernels",
+                    args=(("evicted", checkpoint.stats.corrupt),),
+                )
         else:
-            journal.discard()  # a fresh sweep starts a fresh journal
+            checkpoint.clear()  # a fresh sweep starts a fresh checkpoint
 
     report = FailureReport()
     if pending:
@@ -366,8 +379,11 @@ def measure_suite(
             faultinject.maybe_corrupt_cache(
                 faults, cache, fingerprints[name], name
             )
-            if journal is not None:
-                journal.append(fingerprints[name], name, payload)
+            if checkpoint is not None:
+                checkpoint.put(
+                    fingerprints[name],
+                    pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
+                )
 
         tasks = {
             name: (name, spec.target, spec.vectorizer, spec.jitter, spec.seed)
@@ -385,8 +401,8 @@ def measure_suite(
 
     if report.quarantined and not partial:
         raise SweepError(report)
-    if journal is not None and not report.quarantined:
-        journal.discard()  # complete: nothing left to resume
+    if checkpoint is not None and not report.quarantined:
+        checkpoint.clear()  # complete: nothing left to resume
 
     samples: list[Sample] = []
     failures: list[tuple[str, str]] = []
@@ -403,23 +419,28 @@ def measure_suite(
     return samples, failures
 
 
-def _resolve_journal(
+def _resolve_checkpoint(
     spec: "DatasetSpec", checkpoint_dir, tag: str = ""
-) -> Optional[CheckpointJournal]:
-    """The sweep's journal, or ``None`` when checkpointing is off."""
+) -> Optional[Store]:
+    """The sweep's checkpoint store, or ``None`` when checkpointing is off.
+
+    It lives at ``<checkpoint_dir>/sweep-<key>/``, one durable entry
+    per completed fingerprint.  ``<key>`` hashes the code digest and
+    the spec, so no build ever opens a checkpoint another build wrote.
+    """
     directory = checkpoint_dir or _CONFIG.checkpoint_dir
     if directory is None and os.environ.get("REPRO_CHECKPOINT_DIR"):
         directory = default_checkpoint_dir()
     if directory is None:
         return None
-    from .fingerprint import code_digest
-
     parts = [
         code_digest(), spec.target, spec.vectorizer, spec.jitter, spec.seed
     ]
     if tag:
-        # Extra namespace for corpus blocks; the untagged key is
-        # unchanged so existing suite journals stay resumable.
         parts.append(tag)
-    key = journal_key(*parts)
-    return CheckpointJournal.for_sweep(directory, key)
+    key = hashlib.sha256("\0".join(map(str, parts)).encode()).hexdigest()
+    return Store(
+        os.path.join(directory, f"sweep-{key[:16]}"),
+        schema=f"checkpoint/{PIPELINE_SCHEMA_VERSION}",
+        durable=True,
+    )

@@ -1,11 +1,15 @@
 """Persistent, content-addressed measurement cache.
 
 One entry per (kernel, target, vectorizer, jitter, seed) cell, keyed
-by :func:`~repro.pipeline.fingerprint.measurement_fingerprint` and
-stored as a pickle under ``<root>/<fp[:2]>/<fp>.pkl``.  The cache is
-strictly an accelerator: a corrupt, truncated, or mismatched entry is
-deleted and recomputed, never raised, so deleting files (or the whole
-directory) at any time is always safe.
+by :func:`~repro.pipeline.fingerprint.measurement_fingerprint`: a
+pickled payload in a :class:`~repro.store.Store` at
+``<root>/measurements/<fp>``.  The cache is strictly an accelerator,
+so its store is not durable: a corrupt, truncated, or mismatched entry
+is deleted and recomputed, never raised, and deleting files (or the
+whole directory) at any time is always safe.  The model registry and
+the sweep checkpoints keep their own stores beside it
+(``<root>/registry``, ``<root>/checkpoints``), which clearing the
+cache leaves alone.
 
 Configuration:
 
@@ -19,16 +23,11 @@ from __future__ import annotations
 
 import os
 import pickle
-import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from ..store import MISS, Store
 from .fingerprint import PIPELINE_SCHEMA_VERSION
-
-#: Sentinel returned by :meth:`MeasurementCache.get` on a miss —
-#: distinguishes "not cached" from a legitimately-``None`` payload.
-MISS = object()
 
 _OFF_VALUES = {"off", "0", "false", "no"}
 
@@ -45,142 +44,38 @@ def cache_enabled_by_env() -> bool:
     return os.environ.get("REPRO_CACHE", "").strip().lower() not in _OFF_VALUES
 
 
-@dataclass
-class CacheStats:
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    corrupt: int = 0
-    write_errors: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "corrupt": self.corrupt,
-            "write_errors": self.write_errors,
-        }
-
-    def __str__(self) -> str:
-        return (
-            f"cache: {self.hits} hits, {self.misses} misses, "
-            f"{self.stores} stores, {self.corrupt} corrupt, "
-            f"{self.write_errors} write errors"
-        )
-
-
-@dataclass
 class MeasurementCache:
     """On-disk cache of per-kernel measurement results."""
 
-    root: Path = field(default_factory=default_cache_dir)
-    enabled: bool = True
-    stats: CacheStats = field(default_factory=CacheStats)
-
-    def __post_init__(self) -> None:
-        self.root = Path(self.root)
-
-    # -- paths ---------------------------------------------------------------
-
-    def _path(self, fp: str) -> Path:
-        return self.root / fp[:2] / f"{fp}.pkl"
-
-    # -- operations ----------------------------------------------------------
+    def __init__(self, root=None, enabled: bool = True):
+        self.root = Path(root) if root is not None else default_cache_dir()
+        self.enabled = enabled
+        self.store = Store(
+            self.root / "measurements",
+            schema=f"measurement/{PIPELINE_SCHEMA_VERSION}",
+            durable=False,
+        )
+        self.stats = self.store.stats
 
     def get(self, fp: str):
-        """Payload for ``fp``, or the :data:`MISS` sentinel.
-
-        Any load problem — unreadable file, truncated pickle, schema or
-        fingerprint mismatch — deletes the entry and reports a miss.
-        """
+        """Payload for ``fp``, or the :data:`MISS` sentinel."""
         if not self.enabled:
             return MISS
-        path = self._path(fp)
-        try:
-            with open(path, "rb") as f:
-                entry = pickle.load(f)
-            if (
-                not isinstance(entry, dict)
-                or entry.get("schema") != PIPELINE_SCHEMA_VERSION
-                or entry.get("fingerprint") != fp
-            ):
-                raise ValueError("cache entry does not match its key")
-            payload = entry["payload"]
-        except OSError:
-            # Missing entry or unreachable cache dir: a plain miss, not
-            # a corrupt entry.
-            self.stats.misses += 1
-            return MISS
-        except Exception:
-            self.stats.corrupt += 1
-            self.stats.misses += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return MISS
-        self.stats.hits += 1
-        return payload
+        return self.store.get(fp, pickle.loads)
 
     def put(self, fp: str, payload) -> None:
-        """Store ``payload`` atomically (unique tmp file + rename).
-
-        A failed write — unwritable directory, full disk, a rename
-        that loses a race with a permission change — degrades to a
-        cold build and counts in ``stats.write_errors``; the temp file
-        is unlinked on every failure path so no orphan accumulates.
-        """
-        if not self.enabled:
-            return
-        path = self._path(fp)
-        entry = {
-            "schema": PIPELINE_SCHEMA_VERSION,
-            "fingerprint": fp,
-            "payload": payload,
-        }
-        tmp_name: Optional[str] = None
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with tempfile.NamedTemporaryFile(
-                mode="wb",
-                dir=path.parent,
-                prefix=f".{path.name}.",
-                suffix=".tmp",
-                delete=False,
-            ) as f:
-                tmp_name = f.name
-                pickle.dump(entry, f, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_name, path)
-            tmp_name = None  # renamed away: nothing to clean up
-        except OSError:
-            self.stats.write_errors += 1
-            return
-        finally:
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-        self.stats.stores += 1
+        """Store ``payload``; a failed write counts in ``stats.write_errors``."""
+        if self.enabled:
+            self.store.put(
+                fp, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            )
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""
-        removed = 0
-        if not self.root.exists():
-            return removed
-        for path in self.root.rglob("*.pkl"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        return self.store.clear()
 
     def __len__(self) -> int:
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.rglob("*.pkl"))
+        return len(self.store.keys())
 
 
 _DEFAULT: Optional[MeasurementCache] = None

@@ -2,7 +2,7 @@
 
 ``measure_corpus`` sweeps a generated corpus an order of magnitude
 larger than the TSVC suite as contiguous *blocks*, one ``measure_suite``
-call each, with its own retry budget and checkpoint journal
+call each, with its own retry budget and checkpoint
 (namespaced per block, so an interrupted corpus sweep resumes without
 replaying finished blocks).
 

@@ -232,7 +232,7 @@ def maybe_corrupt_cache(
     """
     if plan is None or not plan.decide("corrupt_cache", kernel, 0):
         return
-    path = cache._path(fingerprint)
+    path = cache.store.path(fingerprint)
     try:
         size = path.stat().st_size
         with open(path, "r+b") as f:

@@ -18,9 +18,10 @@ hangs) gets a ``ProcessPoolExecutor`` instead:
 * **quarantine** — a kernel that exhausts its attempts is recorded in
   a structured :class:`FailureReport` (attempts, wall time, the whole
   exception chain) and the sweep continues;
-* **checkpointing** — every completed payload streams into a
-  :class:`CheckpointJournal` so an interrupted sweep resumes from the
-  last completed kernel, surviving torn tail records;
+* **checkpointing** — every completed payload lands in the sweep's
+  durable checkpoint store (one verified entry per kernel, see
+  :mod:`repro.store`) so an interrupted sweep resumes from the last
+  completed kernel;
 * **degradation** — if the pool cannot be (re)built the supervisor
   drops to the serial in-process path and says so through the
   static-analysis diagnostics engine
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -171,7 +171,7 @@ def pipeline_diagnostics() -> Diagnostics:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint journal
+# Checkpoints
 # ---------------------------------------------------------------------------
 
 
@@ -182,155 +182,6 @@ def default_checkpoint_dir() -> Path:
     from .cache import default_cache_dir
 
     return default_cache_dir() / "checkpoints"
-
-
-def journal_key(*parts) -> str:
-    """Stable short key naming one sweep's journal file."""
-    text = "\0".join(str(p) for p in parts)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-#: Bump when the journal record layout changes.  A journal stamped
-#: with a different schema is *skipped with a remark* on ``--resume``
-#: (the sweep re-measures) — never misread, never a crash.
-JOURNAL_SCHEMA = 1
-
-
-def _fsync_dir(path: Path) -> None:
-    """Flush a directory entry so creates/renames survive power loss."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
-class CheckpointJournal:
-    """Append-only stream of completed payloads for one sweep.
-
-    The first record is a schema header ``{"journal_schema": N}``;
-    the rest are consecutive pickles ``{"fingerprint", "name",
-    "payload"}``.  A torn tail (the process died mid-write) is
-    detected on load and trimmed by rewriting the good prefix through
-    a tmp file + ``os.replace`` + directory fsync — a crash during the
-    trim itself leaves either the old or the new file, both loadable.
-    Appends fsync the file, so an acknowledged checkpoint survives
-    power loss.  The file is deleted once the sweep completes with
-    nothing missing.
-    """
-
-    def __init__(self, path: Path):
-        self.path = Path(path)
-
-    @classmethod
-    def for_sweep(cls, directory, key: str) -> "CheckpointJournal":
-        return cls(Path(directory) / f"sweep-{key}.journal")
-
-    def load(self, valid: Optional[set] = None) -> dict[str, object]:
-        """Payloads by fingerprint; trims any torn tail atomically.
-
-        ``valid`` (when given) drops records whose fingerprint is not
-        in the set — stale entries from an earlier code state.  A
-        journal whose header names a foreign schema version is skipped
-        wholesale with a ``-Rpass-missed`` remark; a headerless
-        journal (pre-versioning) still loads.
-        """
-        entries: dict[str, object] = {}
-        if not self.path.exists():
-            return entries
-        good_end = 0
-        first = True
-        try:
-            with open(self.path, "rb") as f:
-                while True:
-                    try:
-                        record = pickle.load(f)
-                    except EOFError:
-                        break
-                    except Exception:
-                        break  # torn or garbled tail: keep the prefix
-                    if first:
-                        first = False
-                        if (
-                            isinstance(record, dict)
-                            and "journal_schema" in record
-                            and "payload" not in record
-                        ):
-                            schema = record["journal_schema"]
-                            if schema != JOURNAL_SCHEMA:
-                                _DIAG.warning(
-                                    PASS_NAME,
-                                    SUITE_LOC,
-                                    f"checkpoint journal {self.path.name} "
-                                    f"uses schema {schema!r} (this build "
-                                    f"writes {JOURNAL_SCHEMA}); ignoring it "
-                                    "and re-measuring",
-                                    args=(("schema", schema),),
-                                )
-                                return {}
-                            good_end = f.tell()
-                            continue
-                    try:
-                        fp = record["fingerprint"]
-                        payload = record["payload"]
-                    except Exception:
-                        break  # garbled record: keep the prefix
-                    good_end = f.tell()
-                    if valid is None or fp in valid:
-                        entries[fp] = payload
-        except OSError:
-            return {}
-        self._trim(good_end)
-        return entries
-
-    def _trim(self, good_end: int) -> None:
-        """Drop everything past ``good_end`` via tmp + ``os.replace``."""
-        try:
-            if good_end >= self.path.stat().st_size:
-                return
-            with open(self.path, "rb") as f:
-                prefix = f.read(good_end)
-            tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
-            with open(tmp, "wb") as f:
-                f.write(prefix)
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, self.path)
-            _fsync_dir(self.path.parent)
-        except OSError:
-            pass
-
-    def append(self, fingerprint: str, name: str, payload) -> None:
-        record = {"fingerprint": fingerprint, "name": name, "payload": payload}
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fresh = not self.path.exists() or self.path.stat().st_size == 0
-            with open(self.path, "ab") as f:
-                if fresh:
-                    pickle.dump(
-                        {"journal_schema": JOURNAL_SCHEMA},
-                        f,
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
-                pickle.dump(record, f, protocol=pickle.HIGHEST_PROTOCOL)
-                f.flush()
-                os.fsync(f.fileno())
-            if fresh:
-                _fsync_dir(self.path.parent)
-        except OSError:
-            pass  # an unwritable journal degrades to no checkpointing
-
-    def discard(self) -> None:
-        try:
-            self.path.unlink()
-            _fsync_dir(self.path.parent)
-        except OSError:
-            pass
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +218,7 @@ def run_supervised(
     the tasks run in; ``None`` runs them one after another in this
     process, with retries and quarantine but no deadline.
     ``on_complete`` fires in the supervisor as each payload lands
-    (cache write, journal append).  Returns the
+    (cache write, checkpoint).  Returns the
     :class:`FailureReport`; completed names are exactly
     ``set(tasks) - set(report.names())``.
     """

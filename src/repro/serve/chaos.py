@@ -44,7 +44,13 @@ from ..targets.registry import get_target
 from ..tsvc import get_kernel, kernel_names
 from ..vectorize.plan import VectorizationFailure
 from .advisor import Advisor, canonical_verdict, kernel_from_payload
-from .registry import ModelEntry, ModelRegistry, RegistryError, entry_from_model
+from .registry import (
+    ModelEntry,
+    ModelRegistry,
+    RegistryError,
+    entry_from_model,
+    entry_name,
+)
 from .workers import WorkerPool
 
 #: Scheduling slack added to the deadline before an attempt counts as
@@ -185,7 +191,9 @@ def check_rollback(
     )
 
     # Corrupt the active entry's bytes on disk, then hot-reload.
-    path, _ = registry._entry_paths(before.model_key, before.version)
+    path = registry.store_for(before.model_key).path(
+        entry_name(before.version)
+    )
     with open(path, "r+b") as fh:
         fh.write(b"\x00POISON\x00")
     registry.reload()

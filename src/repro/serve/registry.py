@@ -6,32 +6,30 @@ entries versioned by *(dataset fingerprint, featurization key, target,
 vectorizer, regressor)* — the exact provenance that decides what a
 weight vector means — under one durability contract:
 
-* **atomic installs** — entries are written to a tmp file and landed
-  with ``os.replace``; the sha256 sidecar is written only after the
-  payload bytes are durable, so a reader never sees a digest without
-  its entry;
-* **corruption-safe loads** — a torn entry, a flipped bit, a missing
-  sidecar, or a foreign schema is *evicted* and the registry falls
-  back to the newest remaining valid version (or heals the active
-  version from the in-memory last-good copy), never raising into the
-  request path;
+* **atomic, durable installs** — each model key's files live in one
+  durable :class:`~repro.store.Store`, which installs them by tmp file
+  + fsync + rename and verifies each against the sha256 in its header
+  on load;
+* **corruption-safe loads** — a torn entry, a flipped bit, or a
+  foreign schema is *evicted* and the registry falls back to the
+  newest remaining valid version (or heals the active version from
+  the in-memory last-good copy), never raising into the request path;
 * **validation gate + rollback** — a candidate must reproduce its own
   held-out validation predictions bit-exactly (and beat an RMSE bound
   against the held-out measurements) before the ``CURRENT`` pointer
   moves; a candidate that fails the gate is discarded and the last
   good version keeps serving — automatic rollback, no operator in the
   loop;
-* **atomic hot-reload** — ``CURRENT`` is one ``os.replace``'d pointer
-  file per model key; a running service re-reads it on demand
+* **atomic hot-reload** — ``CURRENT`` is one atomically replaced
+  pointer entry per model key; a running service re-reads it on demand
   (``/v1/reload`` or a registry mtime change) and swaps models between
   requests, never mid-request.
 
 Layout under the root (``REPRO_SERVE_REGISTRY`` or
-``<cache>/registry``)::
+``<cache>/registry``), one store per model key::
 
     <target>--<vectorizer>/
         entry-<version>.json         # weights + provenance + validation
-        entry-<version>.json.sha256  # integrity sidecar
         CURRENT                      # the active version id
 """
 
@@ -49,6 +47,7 @@ import numpy as np
 
 from ..costmodel import matrix
 from ..costmodel.base import EPS, Sample
+from ..store import MISS, Store
 
 #: Bump when the entry layout changes; foreign-schema entries are
 #: treated as invalid (evicted on load) rather than misread.
@@ -158,6 +157,15 @@ class ModelEntry:
 
 def model_key(target: str, vectorizer: str) -> str:
     return f"{target}--{vectorizer}"
+
+
+#: The store key of a model key's active-version pointer.
+CURRENT = "CURRENT"
+
+
+def entry_name(version: str) -> str:
+    """The store key (and file name) of one published version."""
+    return f"entry-{version}.json"
 
 
 def entry_version(
@@ -299,12 +307,18 @@ class RegistryStats:
     publishes: int = 0
     rejected: int = 0
     reloads: int = 0
-    corrupt_evictions: int = 0
     heals: int = 0
     rollbacks: int = 0
+    #: model key -> its store, whose ``corrupt`` count is the evictions.
+    key_stores: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def corrupt_evictions(self) -> int:
+        return sum(st.stats.corrupt for st in list(self.key_stores.values()))
 
     def as_dict(self) -> dict:
-        return dict(self.__dict__)
+        out = {k: v for k, v in self.__dict__.items() if k != "key_stores"}
+        return {**out, "corrupt_evictions": self.corrupt_evictions}
 
 
 class ModelRegistry:
@@ -324,76 +338,59 @@ class ModelRegistry:
         #: model key → last entry that ever passed the gate (the
         #: rollback/heal source; survives disk corruption).
         self._last_good: dict[str, ModelEntry] = {}
-        self.stats = RegistryStats()
+        self._stores: dict[str, Store] = {}
+        self.stats = RegistryStats(key_stores=self._stores)
 
-    # -- paths --------------------------------------------------------------
+    # -- disk ---------------------------------------------------------------
 
-    def _key_dir(self, key: str) -> Path:
-        return self.root / key
+    def store_for(self, key: str) -> Store:
+        """The durable store holding one model key's entries and ``CURRENT``.
 
-    def _entry_paths(self, key: str, version: str) -> tuple[Path, Path]:
-        path = self._key_dir(key) / f"entry-{version}.json"
-        return path, path.with_suffix(".json.sha256")
+        Its schema names the model key, so a file copied in from another
+        key's directory fails verification.
+        """
+        with self._lock:
+            store = self._stores.get(key)
+            if store is None:
+                store = self._stores[key] = Store(
+                    self.root / key,
+                    schema=f"model-registry/{REGISTRY_SCHEMA}/{key}",
+                    durable=True,
+                )
+            return store
 
-    def _current_path(self, key: str) -> Path:
-        return self._key_dir(key) / "CURRENT"
+    def _keys_on_disk(self) -> list[str]:
+        try:
+            return [
+                p.name
+                for p in self.root.iterdir()
+                if p.is_dir() and not p.name.startswith(".")
+            ]
+        except OSError:
+            return []
 
-    # -- atomic file plumbing ----------------------------------------------
-
-    @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        _fsync_dir(path.parent)
-
-    def _write_entry(self, entry: ModelEntry) -> None:
-        path, sidecar = self._entry_paths(entry.model_key, entry.version)
+    def _install(self, entry: ModelEntry) -> bool:
+        """Write ``entry`` and point ``CURRENT`` at it; ``False`` on failure."""
+        store = self.store_for(entry.model_key)
         blob = json.dumps(entry.to_dict(), sort_keys=True).encode()
-        self._atomic_write(path, blob)
-        # Sidecar last: its existence certifies the payload bytes.
-        self._atomic_write(sidecar, hashlib.sha256(blob).hexdigest().encode())
-
-    def _evict_entry(self, key: str, version: str) -> None:
-        self.stats.corrupt_evictions += 1
-        for path in self._entry_paths(key, version):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        return store.put(entry_name(entry.version), blob) and store.put(
+            CURRENT, entry.version.encode()
+        )
 
     def _read_entry(self, key: str, version: str) -> Optional[ModelEntry]:
-        """A sha256-verified entry, or ``None`` (evicting corruption)."""
-        path, sidecar = self._entry_paths(key, version)
-        try:
-            blob = path.read_bytes()
-            recorded = sidecar.read_text().strip()
-            if hashlib.sha256(blob).hexdigest() != recorded:
-                raise RegistryError("sha256 mismatch")
-            entry = ModelEntry.from_dict(json.loads(blob))
-            if entry.version != version or entry.model_key != key:
-                raise RegistryError("entry does not match its filename")
-            return entry
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, KeyError, RegistryError):
-            self._evict_entry(key, version)
-            return None
+        """A verified entry, or ``None`` (the store evicts corruption)."""
+        entry = self.store_for(key).get(
+            entry_name(version),
+            lambda blob: ModelEntry.from_dict(json.loads(blob)),
+        )
+        return None if entry is MISS else entry
 
     # -- publish / rollback -------------------------------------------------
 
     def publish(
-        self,
-        entry: ModelEntry,
-        *,
-        activate: bool = True,
-        max_rmse: Optional[float] = None,
+        self, entry: ModelEntry, *, max_rmse: Optional[float] = None
     ) -> ModelEntry:
-        """Gate, install, and (optionally) activate a candidate entry.
+        """Gate, install, and activate a candidate entry.
 
         A candidate that fails the held-out gate is rejected with a
         :class:`RegistryError` naming every failed check, and the
@@ -411,14 +408,12 @@ class ModelRegistry:
                     + "; ".join(reasons)
                     + kept
                 )
-            self._write_entry(entry)
-            if activate:
-                self._atomic_write(
-                    self._current_path(entry.model_key),
-                    entry.version.encode(),
+            if not self._install(entry):
+                raise RegistryError(
+                    f"could not install {entry.version} under {self.root}"
                 )
-                self._active[entry.model_key] = entry
-                self._last_good[entry.model_key] = entry
+            self._active[entry.model_key] = entry
+            self._last_good[entry.model_key] = entry
             self.stats.publishes += 1
             return entry
 
@@ -432,9 +427,7 @@ class ModelRegistry:
                     continue
                 entry = self._read_entry(key, version)
                 if entry is not None and not validate_entry(entry):
-                    self._atomic_write(
-                        self._current_path(key), entry.version.encode()
-                    )
+                    self.store_for(key).put(CURRENT, entry.version.encode())
                     self._active[key] = entry
                     self._last_good[key] = entry
                     self.stats.rollbacks += 1
@@ -443,17 +436,16 @@ class ModelRegistry:
 
     def _versions_on_disk(self, key: str) -> list[str]:
         """Version ids present on disk, newest mtime first."""
-        d = self._key_dir(key)
-        try:
-            files = [
-                p
-                for p in d.iterdir()
-                if p.name.startswith("entry-") and p.name.endswith(".json")
-            ]
-        except OSError:
-            return []
-        files.sort(key=lambda p: (p.stat().st_mtime, p.name), reverse=True)
-        return [p.name[len("entry-"):-len(".json")] for p in files]
+        store = self.store_for(key)
+        names = [
+            n
+            for n in store.keys()
+            if n.startswith("entry-") and n.endswith(".json")
+        ]
+        names.sort(
+            key=lambda n: (store.path(n).stat().st_mtime, n), reverse=True
+        )
+        return [n[len("entry-"):-len(".json")] for n in names]
 
     # -- serving ------------------------------------------------------------
 
@@ -478,11 +470,8 @@ class ModelRegistry:
         store heals; (3) the newest other valid version on disk;
         (4) nothing — the advisor serves its static fallback.
         """
-        try:
-            version = self._current_path(key).read_text().strip()
-        except OSError:
-            version = ""
-        if version:
+        version = self.store_for(key).get(CURRENT, bytes.decode)
+        if version is not MISS:
             entry = self._read_entry(key, version)
             if entry is not None and not validate_entry(entry):
                 self._active[key] = entry
@@ -492,19 +481,14 @@ class ModelRegistry:
         if good is not None:
             # Disk lost or corrupted the active entry but this process
             # still holds the weights: re-install them atomically.
-            self._write_entry(good)
-            self._atomic_write(
-                self._current_path(key), good.version.encode()
-            )
+            self._install(good)
             self._active[key] = good
             self.stats.heals += 1
             return good
         for version in self._versions_on_disk(key):
             entry = self._read_entry(key, version)
             if entry is not None and not validate_entry(entry):
-                self._atomic_write(
-                    self._current_path(key), entry.version.encode()
-                )
+                self.store_for(key).put(CURRENT, entry.version.encode())
                 self._active[key] = entry
                 self._last_good[key] = entry
                 return entry
@@ -519,15 +503,7 @@ class ModelRegistry:
         """
         with self._lock:
             self.stats.reloads += 1
-            keys = set(self._active)
-            try:
-                keys.update(
-                    p.name
-                    for p in self.root.iterdir()
-                    if p.is_dir() and not p.name.startswith(".")
-                )
-            except OSError:
-                pass
+            keys = set(self._active) | set(self._keys_on_disk())
             out: dict[str, Optional[str]] = {}
             for key in sorted(keys):
                 self._active.pop(key, None)
@@ -558,16 +534,3 @@ class ModelRegistry:
                 )
             return out
 
-
-def _fsync_dir(path: Path) -> None:
-    """Flush a directory entry so a rename survives power loss."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)

@@ -40,7 +40,9 @@ from ..pipeline.faultinject import (
     InjectedWorkerCrash,
     serve_plan_from_env,
 )
+from ..store import MISS
 from .advisor import Advisor, AdvisorError
+from .registry import CURRENT, entry_name
 
 #: Grace added to a deadline before a worker is declared hung.
 HANG_GRACE_S = 0.25
@@ -357,20 +359,19 @@ class WorkerPool:
         return fired
 
     def _corrupt_registry(self) -> None:
+        """Overwrite the head of every model key's active entry file."""
         registry = self.advisor.registry
-        root = registry.root
-        try:
-            for key_dir in root.iterdir():
-                current = key_dir / "CURRENT"
-                if not current.is_file():
+        with registry._lock:
+            for key in registry._keys_on_disk():
+                store = registry.store_for(key)
+                version = store.get(CURRENT, bytes.decode)
+                if version is MISS:
                     continue
-                version = current.read_text().strip()
-                entry = key_dir / f"entry-{version}.json"
-                if entry.is_file():
-                    with open(entry, "r+b") as fh:
+                try:
+                    with open(store.path(entry_name(version)), "r+b") as fh:
                         fh.write(b"\x00GARBAGE\x00")
-        except OSError:
-            pass
+                except OSError:
+                    pass
         registry.reload()
 
     # -- supervision --------------------------------------------------------

@@ -111,9 +111,9 @@ def get_kernel(name: str, dims: Dims = STANDARD_DIMS) -> LoopKernel:
         pass
     # Synthetic corpus kernels (``gx{seed}_{index}_{category}``) resolve
     # through the generator; they carry their own sizes, so ``dims`` is
-    # ignored.  The delegation is what lets pool workers, checkpoint
-    # journals, and the chaos harness rebuild generated kernels by name
-    # exactly like suite kernels.
+    # ignored.  The delegation is what lets pool workers and the chaos
+    # harness rebuild generated kernels by name exactly like suite
+    # kernels.
     from ..gen import generate_kernel, is_generated_name
 
     if is_generated_name(name):

@@ -95,3 +95,27 @@ class TestChaosCorpusGate:
         assert _samples_equal(clean.samples, chaotic.samples)
         assert clean.failures == chaotic.failures
         assert not chaotic.quarantined_names
+
+
+class TestPublish:
+    def test_publish_lands_in_the_registry_serve_reads(
+        self, tmp_path, monkeypatch
+    ):
+        """``corpus --publish`` and ``serve`` share one default registry."""
+        import json
+
+        import repro.pipeline.cache as cache_mod
+        from repro.experiments.corpus import main
+        from repro.serve import ModelRegistry
+
+        # Keep the session's measurement cache as the process default.
+        monkeypatch.setattr(cache_mod, "_DEFAULT", cache_mod.default_cache())
+        for var in ("REPRO_SERVE_REGISTRY", "REPRO_CACHE_DIR"):
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        monkeypatch.chdir(tmp_path)
+        summary = tmp_path / "summary.json"
+        assert main(["--size", "60", "--publish", "--json", str(summary)]) == 0
+        published = json.loads(summary.read_text())["published_version"]
+        entry = ModelRegistry().current("armv8-neon", "llv")
+        assert entry is not None and entry.version == published

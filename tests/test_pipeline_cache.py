@@ -130,6 +130,22 @@ def test_clear_and_len(tmp_path):
     assert cache.get(fp_for(SPEC, "s000")) is MISS
 
 
+def test_clear_keeps_the_registry_and_checkpoints(tmp_path):
+    """``--clear-cache`` deletes measurements; the default registry and
+    checkpoints live under the same root and survive it."""
+    cache = MeasurementCache(root=tmp_path)
+    cache.put(fp_for(SPEC), (None, "x"))
+    kept = [
+        tmp_path / "registry" / "armv8-neon--llv" / "CURRENT",
+        tmp_path / "checkpoints" / "sweep-0123456789abcdef" / fp_for(SPEC),
+    ]
+    for path in kept:
+        path.parent.mkdir(parents=True)
+        path.write_text("kept")
+    assert cache.clear() == 1
+    assert all(path.read_text() == "kept" for path in kept)
+
+
 # -- corruption safety -------------------------------------------------------
 
 
@@ -137,7 +153,7 @@ def test_truncated_entry_recovers(tmp_path):
     cache = MeasurementCache(root=tmp_path)
     fp = fp_for(SPEC)
     cache.put(fp, (None, "ok"))
-    path = cache._path(fp)
+    path = cache.store.path(fp)
     path.write_bytes(path.read_bytes()[:10])
     assert cache.get(fp) is MISS
     assert cache.stats.corrupt == 1
@@ -149,7 +165,7 @@ def test_truncated_entry_recovers(tmp_path):
 def test_garbage_entry_recovers(tmp_path):
     cache = MeasurementCache(root=tmp_path)
     fp = fp_for(SPEC)
-    path = cache._path(fp)
+    path = cache.store.path(fp)
     path.parent.mkdir(parents=True)
     path.write_bytes(b"not a pickle at all")
     assert cache.get(fp) is MISS
@@ -161,9 +177,9 @@ def test_wrong_key_entry_is_rejected(tmp_path):
     cache = MeasurementCache(root=tmp_path)
     fp_a, fp_b = fp_for(SPEC, "s000"), fp_for(SPEC, "s111")
     cache.put(fp_a, (None, "a"))
-    dst = cache._path(fp_b)
+    dst = cache.store.path(fp_b)
     dst.parent.mkdir(parents=True, exist_ok=True)
-    dst.write_bytes(cache._path(fp_a).read_bytes())
+    dst.write_bytes(cache.store.path(fp_a).read_bytes())
     assert cache.get(fp_b) is MISS
     assert cache.stats.corrupt == 1
 
@@ -171,7 +187,7 @@ def test_wrong_key_entry_is_rejected(tmp_path):
 def test_wrong_schema_entry_is_rejected(tmp_path):
     cache = MeasurementCache(root=tmp_path)
     fp = fp_for(SPEC)
-    path = cache._path(fp)
+    path = cache.store.path(fp)
     path.parent.mkdir(parents=True)
     entry = {"schema": -1, "fingerprint": fp, "payload": (None, "stale")}
     path.write_bytes(pickle.dumps(entry))

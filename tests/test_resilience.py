@@ -1,20 +1,20 @@
 """Fault-tolerant sweep semantics (repro.pipeline.resilience).
 
 The load-bearing property: whatever the supervisor has to absorb —
-crashes, hangs, flaky exceptions, torn journals, corrupted cache
+crashes, hangs, flaky exceptions, torn checkpoints, corrupted cache
 entries — once retries drain, the surviving samples are *bit-identical*
 to a clean serial sweep.  Injected faults are deterministic (seeded),
 so each scenario either converges or it doesn't; there is no flake.
 """
 
 import os
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.experiments import DatasetSpec
 from repro.pipeline import (
-    CheckpointJournal,
     FaultPlan,
     MeasurementCache,
     RetryPolicy,
@@ -239,35 +239,18 @@ def test_failure_report_shapes():
 # -- checkpoint / resume -----------------------------------------------------
 
 
-def test_journal_roundtrip_and_torn_tail(tmp_path):
-    journal = CheckpointJournal.for_sweep(tmp_path, "deadbeef")
-    journal.append("fp1", "s000", (None, "a"))
-    journal.append("fp2", "s111", (None, "b"))
-    with open(journal.path, "ab") as f:
-        f.write(b"\x80\x05torn mid-write")  # a record the crash cut short
-    entries = journal.load()
-    assert entries == {"fp1": (None, "a"), "fp2": (None, "b")}
-    # The torn tail was truncated away: appending again stays loadable.
-    journal.append("fp3", "s112", (None, "c"))
-    assert set(journal.load()) == {"fp1", "fp2", "fp3"}
-    # Stale fingerprints (code drift) are filtered out.
-    assert set(journal.load(valid={"fp1"})) == {"fp1"}
-    journal.discard()
-    assert not journal.path.exists()
-
-
 def test_completed_sweep_discards_journal(tmp_path):
     ckpt = tmp_path / "ckpt"
     measure_suite(
         SPEC, workers=1, cache=no_cache(tmp_path), checkpoint_dir=ckpt
     )
-    assert list(ckpt.glob("*.journal")) == []
+    assert list(ckpt.glob("sweep-*")) == []
 
 
 def test_resume_remeasures_only_incomplete_kernels(tmp_path, monkeypatch):
     """Kill a sweep mid-run (simulated), resume, and count the work."""
     import repro.pipeline.build as build_mod
-    from repro.pipeline.build import _resolve_journal
+    from repro.pipeline.build import _resolve_checkpoint
     from repro.pipeline.fingerprint import measurement_fingerprint
     from repro.tsvc.suite import all_kernels
 
@@ -276,9 +259,9 @@ def test_resume_remeasures_only_incomplete_kernels(tmp_path, monkeypatch):
     kernels = list(all_kernels())
     done = [k.name for k in kernels[:40]]
 
-    # Fabricate the journal an interrupted sweep would have left: the
-    # first 40 kernels completed, then the process died mid-record.
-    journal = _resolve_journal(SPEC, ckpt)
+    # Fabricate the checkpoint an interrupted sweep would have left:
+    # the first 40 kernels completed, then the process died mid-write.
+    checkpoint = _resolve_checkpoint(SPEC, ckpt)
     for name in done:
         payload = build_mod._measure_named(
             name, SPEC.target, SPEC.vectorizer, SPEC.jitter, SPEC.seed
@@ -290,9 +273,8 @@ def test_resume_remeasures_only_incomplete_kernels(tmp_path, monkeypatch):
             SPEC.jitter,
             SPEC.seed,
         )
-        journal.append(fp, name, payload)
-    with open(journal.path, "ab") as f:
-        f.write(b"\x80\x05half-a-record")
+        checkpoint.put(fp, pickle.dumps(payload))
+    (checkpoint.root / f".{fp}.died.tmp").write_bytes(b"half-a-record")
 
     measured = []
     original = build_mod._measure_named
@@ -317,12 +299,16 @@ def test_resume_remeasures_only_incomplete_kernels(tmp_path, monkeypatch):
 
 
 def test_fresh_sweep_ignores_stale_journal(tmp_path):
-    """Without --resume an existing journal is discarded, not replayed."""
-    from repro.pipeline.build import _resolve_journal
+    """Without --resume an existing checkpoint is discarded, not replayed."""
+    from repro.pipeline.build import _resolve_checkpoint
+    from repro.pipeline.fingerprint import measurement_fingerprint
+    from repro.tsvc import get_kernel
 
     ckpt = tmp_path / "ckpt"
-    journal = _resolve_journal(SPEC, ckpt)
-    journal.append("bogus-fp", "s000", (None, "poison"))
+    fp = measurement_fingerprint(
+        get_kernel("s000"), SPEC.target, SPEC.vectorizer, SPEC.jitter, SPEC.seed
+    )
+    _resolve_checkpoint(SPEC, ckpt).put(fp, pickle.dumps((None, "poison")))
     clean, _ = clean_sweep(tmp_path)
     samples, _ = measure_suite(
         SPEC,
@@ -423,67 +409,3 @@ def test_env_faults_spec_parsing(monkeypatch):
     plan = plan_from_env()
     assert plan.rate("flaky_exc") == 0.25
     assert plan.seed == 9
-
-
-# -- journal schema versioning ----------------------------------------------
-
-
-def test_journal_foreign_schema_skipped_with_remark(tmp_path):
-    import pickle
-
-    from repro.pipeline.resilience import (
-        JOURNAL_SCHEMA,
-        CheckpointJournal,
-        pipeline_diagnostics,
-    )
-
-    journal = CheckpointJournal.for_sweep(tmp_path, "fe0001")
-    journal.path.parent.mkdir(parents=True, exist_ok=True)
-    with open(journal.path, "wb") as f:
-        pickle.dump({"journal_schema": JOURNAL_SCHEMA + 7}, f)
-        pickle.dump(
-            {"fingerprint": "fp1", "name": "s000", "payload": (None, "a")}, f
-        )
-
-    before = len(pipeline_diagnostics())
-    assert journal.load() == {}  # skipped wholesale, not crashed
-    remarks = list(pipeline_diagnostics())[before:]
-    assert any(
-        "schema" in r.message and r.pass_name == "measurement-pipeline"
-        for r in remarks
-    )
-
-
-def test_journal_headerless_legacy_still_loads(tmp_path):
-    import pickle
-
-    from repro.pipeline.resilience import CheckpointJournal
-
-    journal = CheckpointJournal.for_sweep(tmp_path, "fe0002")
-    journal.path.parent.mkdir(parents=True, exist_ok=True)
-    with open(journal.path, "wb") as f:  # pre-versioning layout
-        pickle.dump(
-            {"fingerprint": "fp1", "name": "s000", "payload": (None, "a")}, f
-        )
-    assert journal.load() == {"fp1": (None, "a")}
-
-
-def test_journal_writes_schema_header_and_survives_roundtrip(tmp_path):
-    import pickle
-
-    from repro.pipeline.resilience import JOURNAL_SCHEMA, CheckpointJournal
-
-    journal = CheckpointJournal.for_sweep(tmp_path, "fe0003")
-    journal.append("fp1", "s000", (None, "a"))
-    with open(journal.path, "rb") as f:
-        header = pickle.load(f)
-    assert header == {"journal_schema": JOURNAL_SCHEMA}
-    assert journal.load() == {"fp1": (None, "a")}
-    # The header survives a torn-tail trim.
-    with open(journal.path, "ab") as f:
-        f.write(b"\x80\x05torn")
-    assert journal.load() == {"fp1": (None, "a")}
-    with open(journal.path, "rb") as f:
-        assert pickle.load(f) == {"journal_schema": JOURNAL_SCHEMA}
-    journal.append("fp2", "s111", (None, "b"))
-    assert set(journal.load()) == {"fp1", "fp2"}

@@ -53,11 +53,15 @@ def test_publish_and_current_roundtrip(tmp_path, entry):
     assert published.version == entry.version
     assert reg.current("armv8-neon", "llv").weights == entry.weights
 
-    # Layout: entry + sha256 sidecar + CURRENT pointer, all installed.
+    # Layout: one store per model key holding the entry and CURRENT.
     key_dir = tmp_path / "armv8-neon--llv"
-    assert (key_dir / f"entry-{entry.version}.json").is_file()
-    assert (key_dir / f"entry-{entry.version}.json.sha256").is_file()
-    assert (key_dir / "CURRENT").read_text().strip() == entry.version
+    assert sorted(p.name for p in key_dir.iterdir()) == [
+        "CURRENT",
+        f"entry-{entry.version}.json",
+    ]
+    assert reg.store_for("armv8-neon--llv").get("CURRENT") == (
+        entry.version.encode()
+    )
 
     # A fresh process (no in-memory state) loads the same weights.
     fresh = ModelRegistry(tmp_path)
@@ -179,18 +183,17 @@ def test_foreign_schema_entry_is_evicted_not_misread(tmp_path, entry):
     reg = ModelRegistry(tmp_path)
     reg.publish(entry)
     path = tmp_path / "armv8-neon--llv" / f"entry-{entry.version}.json"
-    data = json.loads(path.read_bytes())
+    data = entry.to_dict()
     data["schema"] = REGISTRY_SCHEMA + 99
-    blob = json.dumps(data, sort_keys=True).encode()
-    path.write_bytes(blob)
-    import hashlib
-
-    path.with_suffix(".json.sha256").write_text(
-        hashlib.sha256(blob).hexdigest()
+    # Installed through the store, so the file verifies: only the
+    # entry's own schema field is foreign.
+    reg.store_for("armv8-neon--llv").put(
+        path.name, json.dumps(data, sort_keys=True).encode()
     )
     fresh = ModelRegistry(tmp_path)
     assert fresh.current("armv8-neon", "llv") is None
     assert not path.exists()  # evicted
+    assert fresh.stats.corrupt_evictions == 1
 
 
 def test_empty_registry_serves_nothing(tmp_path):
