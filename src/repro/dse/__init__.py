@@ -4,15 +4,17 @@ The package turns the fitted speedup models into a *cost oracle* for a
 search over the whole optimization-plan space — VF × interleave ×
 unroll × strategy per kernel (see DESIGN.md §15):
 
-* :mod:`.points` materializes and measures one
-  :class:`~repro.vectorize.plan.PlanPoint` through the analytic
-  pipeline (unroll → vectorize → lower → interleave → time);
+* :mod:`.points` materializes and measures plan points
+  (:class:`~repro.vectorize.plan.PlanPoint`) through the analytic
+  pipeline (unroll → vectorize → lower → interleave → time), each
+  recipe built once per search in a :class:`~.points.PlanSpace`;
 * :mod:`.oracle` scores an entire candidate set in one batched
   featurize+predict through the shared matrix cache;
 * :mod:`.search` holds the drivers — exhaustive, greedy hill-climbing,
   and an epsilon-greedy bandit over measured rewards — all
   deterministic under a seed;
-* :mod:`.engine` memoizes searches on (kernel fingerprint, model
+* :mod:`.engine` scores first and measures only the points a driver
+  reads, and memoizes searches on (kernel fingerprint, model
   fingerprint, target, driver, seed) with a chaos-hardened retry loop;
 * :mod:`.experiment` is E14, the regret study (model-picked plan vs
   oracle-best vs the natural-VF default).

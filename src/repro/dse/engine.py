@@ -132,24 +132,31 @@ def _search_once(
     budget: int,
     manager,
 ) -> search.SearchResult:
+    """One search: score first, then measure only what the driver reads.
+
+    Scoring and measurement share one :class:`~repro.dse.points.PlanSpace`,
+    so each recipe is vectorized once and lowered at most once per
+    target.
+    """
     points = enumerate_plan_points(kernel, target, manager=manager)
-    if driver in ("bandit", "verified"):
-        measurements = points_mod.measure_points(kernel, target, points)
+    space = points_mod.PlanSpace(kernel, target)
 
-        def reward(i: int) -> float:
-            m = measurements[i]
-            return m.speedup if m.ok else 0.0
-
-        if driver == "bandit":
-            return search.bandit(
-                kernel.name, target.name, points, reward,
-                seed=seed, budget=budget,
-            )
-        scores = oracle.score_points(kernel, target, points, model)
-        return search.verified(
-            kernel.name, target.name, points, scores, reward, seed=seed
+    def measure(indices: list[int]) -> list[float]:
+        measured = points_mod.measure_points(
+            kernel, target, [points[i] for i in indices], space=space
         )
-    scores = oracle.score_points(kernel, target, points, model)
+        return [m.speedup if m.ok else 0.0 for m in measured]
+
+    if driver == "bandit":
+        return search.bandit(
+            kernel.name, target.name, points, lambda i: measure([i])[0],
+            seed=seed, budget=budget,
+        )
+    scores = oracle.score_points(kernel, target, points, model, space=space)
+    if driver == "verified":
+        return search.verified(
+            kernel.name, target.name, points, scores, measure, seed=seed
+        )
     if driver == "hill_climb":
         return search.hill_climb(
             kernel.name, target.name, points, scores, seed=seed

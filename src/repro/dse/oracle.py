@@ -12,7 +12,9 @@ same set hits the bundle cache.
 
 Scalar points are pinned to exactly 1.0 outside the batch (their
 speedup is 1.0 by definition, not a prediction); points that fail to
-materialize score 0.0 so they can never win.
+materialize score 0.0 so they can never win.  The scalar lowering and
+each recipe's ``GENERIC_IR`` stream come from the search's
+:class:`~repro.dse.points.PlanSpace`, which measurement reads too.
 """
 
 from __future__ import annotations
@@ -21,15 +23,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..codegen.scalar_gen import lower_scalar
 from ..costmodel.base import Sample
 from ..costmodel.featurize import feature_vector
 from ..ir.kernel import LoopKernel
-from ..sim.measure import estimate_guard_probs
 from ..targets.base import Target
 from ..targets.generic_ir import GENERIC_IR
 from ..vectorize.plan import PlanPoint, is_plan
-from .points import lower_point, materialize_point
+from .points import PlanSpace
 
 
 def candidate_samples(
@@ -39,29 +39,28 @@ def candidate_samples(
     *,
     guard_probs: Optional[dict] = None,
     seed: int = 0,
+    space: Optional[PlanSpace] = None,
 ) -> tuple[list[Sample], list[int]]:
     """Pseudo-samples for the vector points of a candidate set.
 
     Returns ``(samples, indices)`` where ``indices[i]`` is the position
     in ``points`` that ``samples[i]`` scores; scalar points and points
-    that do not materialize are absent.
+    that do not materialize are absent.  ``space`` is the search's
+    plan space for this kernel and target; without one a private
+    space is built from ``guard_probs`` and ``seed``.
     """
-    if guard_probs is None:
-        guard_probs = estimate_guard_probs(kernel, seed=seed)
-    scalar_features = feature_vector(
-        lower_scalar(kernel, target, guard_probs=guard_probs)
-    )
-    bases: dict = {}
+    if space is None:
+        space = PlanSpace(kernel, target, guard_probs=guard_probs, seed=seed)
+    scalar_features = feature_vector(space.scalar_stream)
     samples: list[Sample] = []
     indices: list[int] = []
     for i, point in enumerate(points):
         if point.is_scalar:
             continue
-        result = materialize_point(kernel, target, point, bases=bases)
-        if not is_plan(result):
+        if not is_plan(space.plan(point)):
             continue
         try:
-            ir_stream = lower_point(result, point, GENERIC_IR)
+            ir_stream = space.stream(point, GENERIC_IR)
         except ValueError:
             continue
         # Normalize the block mix *per original element*: an
@@ -101,19 +100,21 @@ def score_points(
     *,
     guard_probs: Optional[dict] = None,
     seed: int = 0,
+    space: Optional[PlanSpace] = None,
 ) -> np.ndarray:
     """Model-predicted speedup per point, one batched predict.
 
     ``model`` is anything with ``predict_batch`` (the fitted speedup
     family); scalar points read exactly 1.0, unmaterializable points
-    0.0.
+    0.0.  ``space`` as in :func:`candidate_samples`.
     """
     scores = np.zeros(len(points), dtype=np.float64)
     for i, p in enumerate(points):
         if p.is_scalar:
             scores[i] = 1.0
     samples, indices = candidate_samples(
-        kernel, target, points, guard_probs=guard_probs, seed=seed
+        kernel, target, points, guard_probs=guard_probs, seed=seed,
+        space=space,
     )
     if samples:
         preds = np.asarray(model.predict_batch(samples), dtype=np.float64)

@@ -14,11 +14,16 @@ counts its remainder in *unrolled* iterations, each worth ``u``
 original scalar iterations — the tail therefore costs
 ``remainder * u`` original scalar iterations at the original kernel's
 per-iteration rate.
+
+A search scores every point of a kernel's space but measures only a
+few, and both read the same unrolled kernels, vectorizer plans and
+lowered streams: one :class:`PlanSpace` per search builds each once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from ..codegen.interleave import interleave_stream
@@ -28,7 +33,7 @@ from ..codegen.slp_gen import lower_slp
 from ..codegen.vector_gen import lower_vector
 from ..ir.kernel import LoopKernel
 from ..sim.measure import estimate_guard_probs
-from ..sim.timing import analyze_stream
+from ..sim.timing import CycleBreakdown, analyze_stream
 from ..targets.base import Target
 from ..vectorize.llv import vectorize_loop
 from ..vectorize.plan import (
@@ -92,16 +97,79 @@ def materialize_point(
     return vectorize_loop(base, target, point.vf)
 
 
-def lower_point(
-    plan: VectorizationPlan, point: PlanPoint, target: Target
-) -> MStream:
-    """The point's machine (or IR, via ``GENERIC_IR``) vector stream."""
-    stream = (
-        lower_slp(plan, target)
-        if plan.kind == "slp"
-        else lower_vector(plan, target)
-    )
-    return interleave_stream(stream, point.interleave)
+class PlanSpace:
+    """One kernel's plan recipes on one target, each built at most once.
+
+    Every piece is computed on first use and kept: the scalar lowering
+    (which runs the guard probabilities) and its timing, each vector
+    recipe's plan (:func:`materialize_point`), and each recipe's base
+    stream per lowering target (``GENERIC_IR`` for scoring, the machine
+    target for measurement).  A ``ValueError`` raised while lowering a
+    recipe is kept too, so every point of that recipe fails the same
+    way.  A space serves one search and is then dropped.
+    """
+
+    def __init__(
+        self,
+        kernel: LoopKernel,
+        target: Target,
+        *,
+        guard_probs: Optional[dict] = None,
+        seed: int = 0,
+    ) -> None:
+        self.kernel = kernel
+        self.target = target
+        self._guard_probs = guard_probs
+        self._seed = seed
+        self._bases: dict = {}
+        self._plans: dict = {}
+        self._streams: dict = {}
+
+    @cached_property
+    def scalar_stream(self) -> MStream:
+        guard_probs = self._guard_probs
+        if guard_probs is None:
+            guard_probs = estimate_guard_probs(self.kernel, seed=self._seed)
+        return lower_scalar(self.kernel, self.target, guard_probs=guard_probs)
+
+    @cached_property
+    def scalar_timing(self) -> CycleBreakdown:
+        return analyze_stream(self.scalar_stream, self.target)
+
+    def plan(
+        self, point: PlanPoint
+    ) -> Union[VectorizationPlan, VectorizationFailure, None]:
+        """:func:`materialize_point` of the point's recipe."""
+        key = (point.strategy, point.vf, point.unroll)
+        if key not in self._plans:
+            self._plans[key] = materialize_point(
+                self.kernel, self.target, point, bases=self._bases
+            )
+        return self._plans[key]
+
+    def stream(self, point: PlanPoint, lowering: Target) -> MStream:
+        """The vector point's stream lowered for ``lowering``.
+
+        The point must materialize (``is_plan(self.plan(point))``).
+        Raises ``ValueError`` when the recipe does not lower or the
+        interleave count does not divide the stream's iterations.
+        """
+        key = (point.strategy, point.vf, point.unroll, lowering.name)
+        base = self._streams.get(key)
+        if base is None:
+            plan = self.plan(point)
+            try:
+                base = (
+                    lower_slp(plan, lowering)
+                    if plan.kind == "slp"
+                    else lower_vector(plan, lowering)
+                )
+            except ValueError as exc:
+                base = exc
+            self._streams[key] = base
+        if isinstance(base, ValueError):
+            raise base
+        return interleave_stream(base, point.interleave)
 
 
 def measure_points(
@@ -111,18 +179,18 @@ def measure_points(
     *,
     guard_probs: Optional[dict] = None,
     seed: int = 0,
+    space: Optional[PlanSpace] = None,
 ) -> list[PointMeasurement]:
     """Analytic measurement of every point, scalar baseline shared.
 
     Deterministic (no jitter — plan choice must not chase noise) and
-    in input order.
+    in input order.  ``space`` is the search's :class:`PlanSpace` for
+    this kernel and target; without one a private space is built from
+    ``guard_probs`` and ``seed``.
     """
-    if guard_probs is None:
-        guard_probs = estimate_guard_probs(kernel, seed=seed)
-    sb = analyze_stream(
-        lower_scalar(kernel, target, guard_probs=guard_probs), target
-    )
-    bases: dict = {}
+    if space is None:
+        space = PlanSpace(kernel, target, guard_probs=guard_probs, seed=seed)
+    sb = space.scalar_timing
     out: list[PointMeasurement] = []
     for point in points:
         if point.is_scalar:
@@ -132,12 +200,12 @@ def measure_points(
                 )
             )
             continue
-        result = materialize_point(kernel, target, point, bases=bases)
+        result = space.plan(point)
         if not is_plan(result):
             out.append(PointMeasurement(point, False, reason=result.reason))
             continue
         try:
-            stream = lower_point(result, point, target)
+            stream = space.stream(point, target)
         except ValueError as exc:
             out.append(PointMeasurement(point, False, reason=str(exc)))
             continue

@@ -14,12 +14,14 @@ the bandit derives every draw from its seed.
   mapper shape (cf. ZigZag's mapping search).
 * ``bandit`` — epsilon-greedy over *measured* rewards under a pull
   budget: the NeuroVectorizer-style learned-search contrast that pays
-  measurements instead of model calls.
+  measurements instead of model calls; only the arms it pulls are
+  measured.
 * ``verified`` — the deployment policy: the model prunes the space to
   a shortlist (default + top-K predicted), measurement decides among
-  them.  The default is always shortlisted, so this arm can never do
-  worse than today's natural-VF plan — the cost-model-prunes,
-  measurement-verifies loop MATCH drives ZigZag's mapper with.
+  them; only the shortlist is measured.  The default is always
+  shortlisted, so this arm can never do worse than today's natural-VF
+  plan — the cost-model-prunes, measurement-verifies loop MATCH drives
+  ZigZag's mapper with.
 """
 
 from __future__ import annotations
@@ -173,7 +175,7 @@ def verified(
     target_name: str,
     points: Sequence[PlanPoint],
     scores: Sequence[float],
-    reward_fn: Callable[[int], float],
+    measure: Callable[[list[int]], Sequence[float]],
     *,
     seed: int = 0,
     shortlist: int = VERIFY_SHORTLIST,
@@ -181,10 +183,11 @@ def verified(
     """Model-pruned shortlist, measured verdict.
 
     The batched scores rank the space; the default plus the ``shortlist``
-    highest-scored other points are measured via ``reward_fn`` and the
-    best measured one wins (ties anchor to the default).  Keeping the
-    default in the shortlist makes this arm ≥ the default by
-    construction — the model can only help, never hurt.
+    highest-scored other points are measured in one ``measure(indices)``
+    call, which returns their rewards in order, and the best measured
+    one wins (ties anchor to the default).  Only the shortlist is
+    measured.  Keeping the default in the shortlist makes this arm ≥
+    the default by construction — the model can only help, never hurt.
     """
     anchor = default_index(points)
     ranked = sorted(
@@ -192,7 +195,9 @@ def verified(
         key=lambda i: (-scores[i], i),
     )
     candidates = [anchor] + ranked[: max(shortlist, 0)]
-    rewards = {i: float(reward_fn(i)) for i in candidates}
+    rewards = {
+        i: float(r) for i, r in zip(candidates, measure(candidates))
+    }
     best = anchor
     for i in candidates:
         if rewards[i] > rewards[best]:
@@ -221,9 +226,9 @@ def bandit(
     ``reward_fn(i)`` is the measured speedup of ``points[i]`` — the
     driver that *pays* for what it learns, bounded by ``budget`` pulls
     (default ``BANDIT_BUDGET_FACTOR × |points|``).  Rewards here are
-    deterministic, so each arm is measured at most once and repeat
-    pulls replay the memo; the seed decides which arms ever get
-    pulled.  Unpulled arms score 0, except the default, which is
+    deterministic, so each arm is measured the first time it is pulled
+    and repeat pulls replay the memo; the seed decides which arms ever
+    get measured.  Unpulled arms score 0, except the default, which is
     seeded with the conservative estimate 1.0 so an unlucky draw
     sequence can never leave the bandit worse-informed than "keep
     today's plan".

@@ -25,7 +25,10 @@ stall the interpreter that supervises it.
 ``python -m repro.pipeline.faultinject --faults crash:0.05,flaky_exc:0.1``
 runs the chaos self-check CI uses: a clean serial sweep and a faulted
 supervised sweep, asserting zero quarantined kernels and bit-identical
-samples.
+samples.  With a ``corrupt_cache`` rate the faulted sweeps write to a
+real cache in a temporary directory, and one more sweep on that cache
+must evict the torn entries and re-measure them bit-identically; a run
+that evicts nothing fails, because it tested no recovery.
 """
 
 from __future__ import annotations
@@ -311,6 +314,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    import tempfile
+
     # Imported lazily: build imports resilience imports this module.
     from ..experiments.dataset import ARM_LLV, X86_SLP
     from .build import measure_suite
@@ -329,71 +334,88 @@ def main(argv: Optional[list[str]] = None) -> int:
     }[args.specs]
 
     no_cache = MeasurementCache(root="/nonexistent", enabled=False)
-    # The reference sweeps pass an empty plan so REPRO_FAULTS cannot
-    # reach them.
-    failures = 0
-    for spec in specs:
-        clean, clean_fail = measure_suite(
-            spec, cache=no_cache, faults=FaultPlan()
+    corrupting = plan is not None and plan.rate("corrupt_cache") > 0
+    evicted = 0
+
+    def leg(title: str, sweep, tmp: str) -> bool:
+        """One chaos leg; ``sweep(cache, faulted)`` returns
+        ``(samples, failures, report)``.  Clean sweeps pass an empty
+        plan so REPRO_FAULTS cannot reach them."""
+        nonlocal evicted
+        clean, clean_fail, _ = sweep(no_cache, False)
+        # A torn entry needs a file to tear: one fresh cache per leg.
+        cache = (
+            MeasurementCache(root=tempfile.mkdtemp(dir=tmp))
+            if corrupting
+            else no_cache
         )
-        chaotic, chaos_fail, report = measure_suite(
-            spec,
-            workers=args.workers,
-            cache=no_cache,
-            timeout=timeout,
-            retry=policy,
-            faults=plan,
-            partial=True,
-        )
+        chaotic, chaos_fail, report = sweep(cache, True)
         parity = _samples_equal(clean, chaotic) and clean_fail == chaos_fail
-        ok = parity and not report.quarantined
+        note = ""
+        if corrupting:
+            # One more sweep evicts the torn entries and re-measures them.
+            healed, healed_fail, _ = sweep(cache, False)
+            parity = (
+                parity
+                and _samples_equal(clean, healed)
+                and healed_fail == clean_fail
+            )
+            evicted += cache.stats.corrupt
+            note = f", {cache.stats.corrupt} torn cache entries evicted"
         print(
-            f"[chaos] {spec.label}: {len(chaotic)} samples, "
+            f"[chaos] {title}: {len(chaotic)} samples, "
             f"{len(chaos_fail)} not vectorizable, "
             f"{len(report)} quarantined, "
-            f"parity={'ok' if parity else 'MISMATCH'}"
+            f"parity={'ok' if parity else 'MISMATCH'}{note}"
         )
         if report.quarantined:
             print(report.summary())
-        if not ok:
-            failures += 1
+        return parity and not report.quarantined
 
-        if args.corpus > 0:
-            # The generated-corpus leg: a faulted corpus sweep over
-            # suite + synthetic kernels must converge bit-identically
-            # to a clean serial sweep of the same names.
-            from ..experiments.corpus import corpus_kernel_names
-            from .corpus import measure_corpus
+    def options(faulted: bool) -> dict:
+        if not faulted:
+            return {"faults": FaultPlan()}
+        return {
+            "workers": args.workers,
+            "timeout": timeout,
+            "retry": policy,
+            "faults": plan,
+        }
 
-            names = corpus_kernel_names(args.corpus, seed=args.gen_seed)
-            clean_res = measure_corpus(
-                names, spec, cache=no_cache, faults=FaultPlan()
-            )
-            chaos_res = measure_corpus(
-                names,
-                spec,
-                workers=args.workers,
-                cache=no_cache,
-                timeout=timeout,
-                retry=policy,
-                faults=plan,
-            )
-            c_parity = (
-                _samples_equal(clean_res.samples, chaos_res.samples)
-                and clean_res.failures == chaos_res.failures
-            )
-            c_ok = c_parity and not chaos_res.quarantined_names
-            print(
-                f"[chaos] {spec.label} corpus({len(names)}): "
-                f"{len(chaos_res.samples)} samples, "
-                f"{len(chaos_res.failures)} not vectorizable, "
-                f"{len(chaos_res.quarantined_names)} quarantined, "
-                f"parity={'ok' if c_parity else 'MISMATCH'}"
-            )
-            if chaos_res.quarantined_names:
-                print(chaos_res.report.summary())
-            if not c_ok:
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
+        for spec in specs:
+
+            def suite(cache, faulted):
+                return measure_suite(
+                    spec, cache=cache, partial=True, **options(faulted)
+                )
+
+            if not leg(spec.label, suite, tmp):
                 failures += 1
+            if args.corpus > 0:
+                # The generated-corpus leg: a faulted corpus sweep over
+                # suite + synthetic kernels must converge bit-identically
+                # to a clean serial sweep of the same names.
+                from ..experiments.corpus import corpus_kernel_names
+                from .corpus import measure_corpus
+
+                names = corpus_kernel_names(args.corpus, seed=args.gen_seed)
+
+                def corpus(cache, faulted):
+                    res = measure_corpus(
+                        names, spec, cache=cache, **options(faulted)
+                    )
+                    return res.samples, res.failures, res.report
+
+                title = f"{spec.label} corpus({len(names)})"
+                if not leg(title, corpus, tmp):
+                    failures += 1
+    if corrupting:
+        print(f"[chaos] corrupt_cache: {evicted} torn cache entries evicted")
+        if not evicted:
+            print("[chaos] FAILED: corrupt_cache tore no cache entry")
+            return 1
     if failures:
         print(f"[chaos] FAILED for {failures} spec(s)")
         return 1

@@ -14,12 +14,13 @@ weight vector means — under one durability contract:
   foreign schema is *evicted* and the registry falls back to the
   newest remaining valid version (or heals the active version from
   the in-memory last-good copy), never raising into the request path;
-* **validation gate + rollback** — a candidate must reproduce its own
-  held-out validation predictions bit-exactly (and beat an RMSE bound
-  against the held-out measurements) before the ``CURRENT`` pointer
-  moves; a candidate that fails the gate is discarded and the last
-  good version keeps serving — automatic rollback, no operator in the
-  loop;
+* **validation gate = automatic rollback** — ``publish`` moves the
+  ``CURRENT`` pointer only for a candidate that reproduces its own
+  held-out validation predictions bit-exactly (and beats an RMSE bound
+  against the held-out measurements); a candidate that fails the gate
+  is discarded and the last good version keeps serving.  That gate is
+  the rollback: there is no operator step that re-activates an older
+  version;
 * **atomic hot-reload** — ``CURRENT`` is one atomically replaced
   pointer entry per model key; a running service re-reads it on demand
   (``/v1/reload`` or a registry mtime change) and swaps models between
@@ -308,7 +309,6 @@ class RegistryStats:
     rejected: int = 0
     reloads: int = 0
     heals: int = 0
-    rollbacks: int = 0
     #: model key -> its store, whose ``corrupt`` count is the evictions.
     key_stores: dict = field(default_factory=dict, repr=False)
 
@@ -336,7 +336,7 @@ class ModelRegistry:
         #: model key → the entry requests are served from.
         self._active: dict[str, ModelEntry] = {}
         #: model key → last entry that ever passed the gate (the
-        #: rollback/heal source; survives disk corruption).
+        #: heal source; survives disk corruption).
         self._last_good: dict[str, ModelEntry] = {}
         self._stores: dict[str, Store] = {}
         self.stats = RegistryStats(key_stores=self._stores)
@@ -385,7 +385,7 @@ class ModelRegistry:
         )
         return None if entry is MISS else entry
 
-    # -- publish / rollback -------------------------------------------------
+    # -- publish ------------------------------------------------------------
 
     def publish(
         self, entry: ModelEntry, *, max_rmse: Optional[float] = None
@@ -416,23 +416,6 @@ class ModelRegistry:
             self._last_good[entry.model_key] = entry
             self.stats.publishes += 1
             return entry
-
-    def rollback(self, target: str, vectorizer: str) -> Optional[ModelEntry]:
-        """Re-activate the newest valid non-current version on disk."""
-        key = model_key(target, vectorizer)
-        with self._lock:
-            current = self._active.get(key)
-            for version in self._versions_on_disk(key):
-                if current is not None and version == current.version:
-                    continue
-                entry = self._read_entry(key, version)
-                if entry is not None and not validate_entry(entry):
-                    self.store_for(key).put(CURRENT, entry.version.encode())
-                    self._active[key] = entry
-                    self._last_good[key] = entry
-                    self.stats.rollbacks += 1
-                    return entry
-            return None
 
     def _versions_on_disk(self, key: str) -> list[str]:
         """Version ids present on disk, newest mtime first."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 #: Speedup threshold above which vectorization is the right decision.
 BENEFIT_THRESHOLD = 1.0
@@ -24,7 +23,29 @@ def pearson(predicted: np.ndarray, measured: np.ndarray) -> float:
     measured = np.asarray(measured, dtype=np.float64)
     if len(predicted) < 2 or np.std(predicted) < 1e-12 or np.std(measured) < 1e-12:
         return 0.0
-    return float(scipy.stats.pearsonr(predicted, measured).statistic)
+    # The steps of scipy.stats.pearsonr: scale each centred vector by
+    # its largest magnitude before the norm (no premature overflow),
+    # clip rounding overshoot, and a pair correlates exactly ±1.
+    xm = predicted - predicted.mean()
+    ym = measured - measured.mean()
+    xmax = np.max(np.abs(xm))
+    ymax = np.max(np.abs(ym))
+    normxm = xmax * np.sqrt(np.sum((xm / xmax) ** 2))
+    normym = ymax * np.sqrt(np.sum((ym / ymax) ** 2))
+    r = float(np.clip(np.dot(xm / normxm, ym / normym), -1.0, 1.0))
+    return float(round(r)) if len(predicted) == 2 else r
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    group = np.cumsum(starts) - 1
+    bounds = np.r_[np.flatnonzero(starts), len(values)]
+    ranks = np.empty(len(values), dtype=np.float64)
+    ranks[order] = 0.5 * (bounds[group] + bounds[group + 1] + 1)
+    return ranks
 
 
 def spearman(predicted: np.ndarray, measured: np.ndarray) -> float:
@@ -33,7 +54,13 @@ def spearman(predicted: np.ndarray, measured: np.ndarray) -> float:
     measured = np.asarray(measured, dtype=np.float64)
     if len(predicted) < 2 or np.std(predicted) < 1e-12 or np.std(measured) < 1e-12:
         return 0.0
-    return float(scipy.stats.spearmanr(predicted, measured).statistic)
+    if np.isnan(predicted).any() or np.isnan(measured).any():
+        return float("nan")
+    # One observation per row, as scipy.stats.spearmanr lays it out.
+    ranks = np.column_stack(
+        (_average_ranks(predicted), _average_ranks(measured))
+    )
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 def rmse(predicted: np.ndarray, measured: np.ndarray) -> float:

@@ -11,6 +11,11 @@ The contract under test, layer by layer:
 * **Drivers** — deterministic under a seed (bandit and hill-climb
   replay exactly), and the ``verified`` driver can never do worse
   than the natural-VF default (its shortlist always contains it).
+* **Plan space** — a search scores first and measures only what its
+  driver reads (``verified`` its shortlist in one call, ``bandit`` each
+  pulled arm once), builds each vector recipe once and lowers it at
+  most once per target, and returns exactly what the eager path (every
+  point measured and scored up front) returns.
 * **Memoization** — warm searches return the cached object; bumping
   the model (refit on different data → new weights) changes the model
   fingerprint and invalidates every dependent search.
@@ -20,7 +25,8 @@ The contract under test, layer by layer:
 
 from __future__ import annotations
 
-import numpy as np
+from collections import Counter
+
 import pytest
 
 from repro.codegen.interleave import interleave_stream
@@ -33,6 +39,7 @@ from repro.dse import (
 )
 from repro.dse import oracle, points as points_mod, search
 from repro.fitting.nnls import NonNegativeLeastSquares
+from repro.ir.stmt import IfBlock
 from repro.pipeline.faultinject import parse_faults
 from repro.serve.chaos import suite_payloads
 from repro.targets import ARMV8_NEON
@@ -205,6 +212,171 @@ def test_hill_climb_neighbors_single_coordinate():
     n1 = search._neighbors(points, 1)
     assert 0 in n1 and 2 in n1 and 3 not in n1  # two coords differ
     assert search._neighbors(points, 0) == [1, 2, 3]  # scalar reaches all
+
+
+# -- plan space: score first, measure only what the driver reads -------------
+
+#: Name-ordered suite slice: guarded kernels, SLP points and unrolled
+#: recipes all occur in it (asserted below).
+IDENTITY_SLICE = sorted(SUITE, key=lambda k: k.name)[:40]
+
+
+def _recipe_kinds(points) -> set:
+    """Which of SLP points and unrolled points ``points`` holds."""
+    return {
+        "slp" if p.strategy == "slp" else "unroll"
+        for p in points
+        if p.strategy == "slp" or p.unroll > 1
+    }
+
+
+def _eager_result(kernel, model, driver, seed):
+    """The driver's result from every point measured and scored up
+    front, each call through its own private plan space."""
+    points = enumerate_plan_points(kernel, ARMV8_NEON)
+    measured = points_mod.measure_points(kernel, ARMV8_NEON, points)
+    rewards = [m.speedup if m.ok else 0.0 for m in measured]
+    scores = oracle.score_points(kernel, ARMV8_NEON, points, model)
+    name, target = kernel.name, ARMV8_NEON.name
+    if driver == "bandit":
+        return search.bandit(
+            name, target, points, rewards.__getitem__, seed=seed
+        )
+    if driver == "verified":
+        return search.verified(
+            name, target, points, scores,
+            lambda indices: [rewards[i] for i in indices], seed=seed,
+        )
+    return getattr(search, driver)(name, target, points, scores, seed=seed)
+
+
+def test_search_bit_identical_to_eager_reference(model):
+    """Measuring only what a driver reads changes no result: best
+    index, exact scores and evaluations equal the eager path's."""
+    covered = set()
+    for kernel in IDENTITY_SLICE:
+        for driver in search.DRIVERS:
+            got = search_kernel(kernel, ARMV8_NEON, model, driver=driver, seed=3)
+            want = _eager_result(kernel, model, driver, seed=3)
+            assert repr(got) == repr(want), (kernel.name, driver)
+        if any(isinstance(s, IfBlock) for s in kernel.stmts()):
+            covered.add("guarded")
+        covered |= _recipe_kinds(got.points)
+    assert covered == {"guarded", "slp", "unroll"}
+
+
+@pytest.fixture
+def measure_calls(monkeypatch):
+    """Every ``measure_points`` call's points, in call order."""
+    calls: list[list] = []
+    real = points_mod.measure_points
+
+    def counting(kernel, target, points, **kwargs):
+        calls.append(list(points))
+        return real(kernel, target, points, **kwargs)
+
+    monkeypatch.setattr(points_mod, "measure_points", counting)
+    return calls
+
+
+def test_verified_measures_only_its_shortlist(model, measure_calls):
+    total = 0
+    for kernel in SUITE[:12]:
+        measure_calls.clear()
+        res = search_kernel(kernel, ARMV8_NEON, model, driver="verified")
+        assert len(measure_calls) == 1, kernel.name
+        assert len(measure_calls[0]) == res.evaluations
+        assert res.evaluations <= 1 + search.VERIFY_SHORTLIST
+        total += len(res.points)
+    assert total > 12 * (1 + search.VERIFY_SHORTLIST)
+
+
+def test_bandit_measures_each_pulled_arm_once(model, measure_calls):
+    measured = points = 0
+    for kernel in SUITE[:12]:
+        measure_calls.clear()
+        res = search_kernel(kernel, ARMV8_NEON, model, driver="bandit", seed=1)
+        arms = [p for batch in measure_calls for p in batch]
+        assert all(len(batch) == 1 for batch in measure_calls)
+        assert len(arms) == len(set(arms)) == res.evaluations, kernel.name
+        measured += len(arms)
+        points += len(res.points)
+    assert measured < points  # arms never pulled are never measured
+
+
+@pytest.mark.parametrize("driver", search.DRIVERS)
+def test_plan_space_builds_each_recipe_once(model, monkeypatch, driver):
+    """Within one search each vector recipe ``(strategy, vf, unroll)``
+    is vectorized once and lowered at most once per target."""
+    builds: list = []
+    lowerings: Counter = Counter()
+    for name in ("vectorize_loop", "slp_vectorize"):
+        real = getattr(points_mod, name)
+
+        def build(base, target, vf, _real=real):
+            builds.append(vf)
+            return _real(base, target, vf)
+
+        monkeypatch.setattr(points_mod, name, build)
+    for name in ("lower_vector", "lower_slp"):
+        real = getattr(points_mod, name)
+
+        def lower(plan, target, _real=real):
+            lowerings[id(plan), target.name] += 1
+            return _real(plan, target)
+
+        monkeypatch.setattr(points_mod, name, lower)
+    kernels = [
+        k for k in IDENTITY_SLICE
+        if _recipe_kinds(enumerate_plan_points(k, ARMV8_NEON)) == {"slp", "unroll"}
+    ][:4]
+    assert len(kernels) == 4
+    for kernel in kernels:
+        builds.clear()
+        lowerings.clear()
+        res = search_kernel(kernel, ARMV8_NEON, model, driver=driver, seed=1)
+        recipes = {
+            (p.strategy, p.vf, p.unroll) for p in res.points if not p.is_scalar
+        }
+        if driver == "bandit":  # builds only the recipes of pulled arms
+            assert len(builds) <= len(recipes), kernel.name
+        else:
+            assert len(builds) == len(recipes), kernel.name
+        assert lowerings and max(lowerings.values()) == 1, kernel.name
+
+
+def test_lowering_error_is_kept_per_recipe(model, monkeypatch):
+    """A recipe whose lowering raises ``ValueError`` is lowered once per
+    target; every point of it fails measurement with that reason and
+    scores 0.0, as when each point lowered on its own."""
+    from repro.targets.generic_ir import GENERIC_IR
+
+    kernel = SUITE[0]
+    points = enumerate_plan_points(kernel, ARMV8_NEON)
+    space = points_mod.PlanSpace(kernel, ARMV8_NEON)
+    broken = next(p for p in points if p.strategy == "llv" and p.interleave > 1)
+    broken_plan = space.plan(broken)
+    calls: Counter = Counter()
+    real = points_mod.lower_vector
+
+    def lower(plan, target):
+        if plan is broken_plan:
+            calls[target.name] += 1
+            raise ValueError("no lowering")
+        return real(plan, target)
+
+    monkeypatch.setattr(points_mod, "lower_vector", lower)
+    same = [
+        i for i, p in enumerate(points)
+        if (p.strategy, p.vf, p.unroll) == (broken.strategy, broken.vf, broken.unroll)
+    ]
+    assert len(same) > 1
+    measured = points_mod.measure_points(kernel, ARMV8_NEON, points, space=space)
+    scores = oracle.score_points(kernel, ARMV8_NEON, points, model, space=space)
+    for i in same:
+        assert not measured[i].ok and measured[i].reason == "no lowering"
+        assert scores[i] == 0.0
+    assert calls == {ARMV8_NEON.name: 1, GENERIC_IR.name: 1}
 
 
 # -- memoization --------------------------------------------------------------

@@ -39,6 +39,25 @@ class TestCorrelation:
     def test_too_few_points(self):
         assert pearson(np.array([1.0]), np.array([2.0])) == 0.0
 
+    def test_matches_scipy_with_ties(self):
+        """The numpy correlations agree with ``scipy.stats`` (the
+        reference they replace) on random data, rounded so that ties
+        occur on both sides, to 1e-12."""
+        scipy_stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 5, 17, 64, 301):
+            for _ in range(20):
+                x = np.round(rng.normal(size=n), 1)
+                y = np.round(0.5 * x + rng.normal(size=n), 1)
+                if np.std(x) < 1e-12 or np.std(y) < 1e-12:
+                    continue
+                assert abs(
+                    pearson(x, y) - scipy_stats.pearsonr(x, y).statistic
+                ) <= 1e-12
+                assert abs(
+                    spearman(x, y) - scipy_stats.spearmanr(x, y).statistic
+                ) <= 1e-12
+
 
 class TestErrors:
     def test_rmse_mae(self):

@@ -340,6 +340,29 @@ def test_corrupted_cache_entries_are_remeasured(tmp_path):
     assert_samples_identical(clean, warm)
 
 
+def test_chaos_cli_corrupt_cache_evicts_and_keeps_parity(capsys):
+    """The chaos CLI's ``corrupt_cache`` fault tears real cache entries:
+    the recovery sweep reports a non-zero eviction count, and every leg
+    (suite and corpus) keeps parity with the clean sweep."""
+    from repro.pipeline.faultinject import main
+
+    code = main(
+        [
+            "--faults", "corrupt_cache:1.0",
+            "--specs", "arm",
+            "--workers", "1",
+            "--corpus", "6",
+        ]
+    )
+    out = capsys.readouterr().out
+    assert code == 0, out
+    legs = [line for line in out.splitlines() if "parity=" in line]
+    assert len(legs) == 2 and all("parity=ok" in line for line in legs), out
+    total = [line for line in out.splitlines() if "corrupt_cache:" in line]
+    assert len(total) == 1, out
+    assert int(total[0].split("corrupt_cache: ")[1].split()[0]) > 0, out
+
+
 def test_cache_put_leaves_no_temp_file_on_failure(tmp_path, monkeypatch):
     cache = MeasurementCache(root=tmp_path / "cache")
 
