@@ -41,7 +41,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.costmodel.base import EPS  # noqa: E402
-from repro.dse import clear_dse_cache, dse_cache_info, search_kernel  # noqa: E402
+from repro.dse import SEARCHES, search_kernel  # noqa: E402
 from repro.experiments.base import fit_cached, make_speedup_model  # noqa: E402
 from repro.experiments.dataset import ARM_LLV, build_dataset  # noqa: E402
 from repro.pipeline.faultinject import parse_faults  # noqa: E402
@@ -92,14 +92,14 @@ def bench_regret(limit: int, seed: int) -> dict:
 
 
 def bench_memo(target, model, kernels) -> dict:
-    clear_dse_cache()
+    SEARCHES.clear()
     t0 = time.perf_counter()
     cold = [search_kernel(k, target, model) for k in kernels]
     cold_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     warm = [search_kernel(k, target, model) for k in kernels]
     warm_s = time.perf_counter() - t0
-    info = dse_cache_info()
+    info = SEARCHES.info()
     speedup = cold_s / max(warm_s, 1e-9)
     identical = [a.to_dict() for a in cold] == [b.to_dict() for b in warm]
     return {
@@ -115,9 +115,9 @@ def bench_memo(target, model, kernels) -> dict:
 
 
 def bench_parity(target, model, kernels) -> dict:
-    clear_dse_cache()
+    SEARCHES.clear()
     serial = [search_kernel(k, target, model).to_dict() for k in kernels]
-    clear_dse_cache()
+    SEARCHES.clear()
     with ThreadPoolExecutor(max_workers=4) as pool:
         parallel = list(
             pool.map(
@@ -131,9 +131,9 @@ def bench_parity(target, model, kernels) -> dict:
 
 
 def bench_chaos(target, model, kernels) -> dict:
-    clear_dse_cache()
+    SEARCHES.clear()
     clean = [search_kernel(k, target, model).to_dict() for k in kernels]
-    clear_dse_cache()
+    SEARCHES.clear()
     # 0.2 keeps the worst per-site streak inside the engine's bounded
     # retry budget even at full-suite scale (0.2^5 per site).
     plan = parse_faults("crash:0.2", seed=7)

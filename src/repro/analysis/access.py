@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..ir.expr import Affine, Expr, Indirect, Load
 from ..ir.kernel import ArrayDecl, LoopKernel
@@ -149,11 +149,3 @@ def collect_accesses(kernel: LoopKernel) -> list[AccessInfo]:
                 visit(stmt.else_body, guard_depth + 1)
     visit(kernel.body, 0)
     return out
-
-
-def loads_of(accesses: list[AccessInfo]) -> Iterator[AccessInfo]:
-    return (a for a in accesses if a.is_load)
-
-
-def stores_of(accesses: list[AccessInfo]) -> Iterator[AccessInfo]:
-    return (a for a in accesses if a.is_store)

@@ -110,9 +110,6 @@ class DependenceInfo:
                     bound = min(bound, dep.distance)
         return bound if bound > 1 else 1
 
-    def unsafe_for(self, vf: int) -> list[Dependence]:
-        return [d for d in self.dependences if not d.safe_for_vf(vf)]
-
 
 def analyze_dependences(kernel: LoopKernel) -> DependenceInfo:
     accesses = collect_accesses(kernel)

@@ -137,10 +137,6 @@ class BoundsInfo:
     def all_proven(self) -> bool:
         return all(a.proven for a in self.accesses)
 
-    @property
-    def all_wrap_legal(self) -> bool:
-        return all(a.wrap_legal for a in self.accesses)
-
     def to_dict(self) -> dict:
         return {
             "kernel": self.kernel,

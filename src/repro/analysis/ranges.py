@@ -464,9 +464,6 @@ class KernelRanges:
         )
         return _Evaluator(self.kernel).eval(expr, env)
 
-    def affine_range(self, af: Affine) -> tuple[int, int]:
-        return affine_interval(af, [lp.trip for lp in self.kernel.loops])
-
 
 def _transfer(
     kernel: LoopKernel,

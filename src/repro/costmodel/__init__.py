@@ -20,12 +20,10 @@ from .featurize import (
 )
 from .llvm_like import LLVMLikeCostModel, SCALAR_COSTS, VECTOR_COSTS
 from .matrix import (
+    BUNDLES,
     MatrixBundle,
-    clear_matrix_cache,
     design_matrix,
     get_bundle,
-    matrix_cache_disabled,
-    matrix_cache_info,
     samples_fingerprint,
 )
 from .linear import LinearCostModel
@@ -55,12 +53,10 @@ __all__ = [
     "LLVMLikeCostModel",
     "SCALAR_COSTS",
     "VECTOR_COSTS",
+    "BUNDLES",
     "MatrixBundle",
-    "clear_matrix_cache",
     "design_matrix",
     "get_bundle",
-    "matrix_cache_disabled",
-    "matrix_cache_info",
     "samples_fingerprint",
     "LinearCostModel",
     "SpeedupModel",

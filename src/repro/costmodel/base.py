@@ -40,10 +40,6 @@ class Sample:
     #: ablation benches to quantify the IR-vs-machine feature choice)
     lowered_features: Optional[np.ndarray] = None
 
-    @property
-    def measured_beneficial(self) -> bool:
-        return self.measured_speedup > 1.0
-
     def with_speedup(self, speedup: float) -> "Sample":
         return replace(self, measured_speedup=speedup)
 

@@ -21,31 +21,24 @@ Contract:
   :func:`register_featurizer`).  Unregistered callables — ad-hoc
   lambdas in tests, user extensions — fall back to the per-sample loop
   and are never cached, so custom models keep their exact semantics.
-* :func:`matrix_cache_disabled` disables the cross-call memo; bundles
-  are then rebuilt per call, which is the seed-path behavior the
+* Bundles live in :data:`BUNDLES`, an LRU of 16 (suites touch 2–3
+  datasets; the slack absorbs test fixtures).  ``BUNDLES.disabled()``
+  rebuilds bundles per call, which is the seed-path behavior the
   benchmarks compare against.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-#: Bundles kept in the process-wide LRU (suites touch 2–3 datasets;
-#: the slack absorbs test fixtures without unbounded growth).
-CACHE_CAPACITY = 16
+from ..memo import Memo
 
-_LOCK = threading.Lock()
-_BUNDLES: "OrderedDict[str, MatrixBundle]" = OrderedDict()
-_ENABLED = True
-_HITS = 0
-_MISSES = 0
+#: Matrix bundles by samples fingerprint.
+BUNDLES = Memo(max_entries=16)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -86,9 +79,9 @@ def samples_fingerprint(samples: Sequence) -> str:
 class MatrixBundle:
     """The stacked per-dataset arrays every model draws from.
 
-    ``derived`` holds lazily-built matrices keyed by featurization or
-    target kind ("X:rated", "y:speedup", …) so each is computed once
-    per dataset no matter how many models consume it.
+    ``derived`` builds matrices keyed by featurization or target kind
+    ("X:rated", "y:speedup", …) on first request, so each is computed
+    once per dataset no matter how many models consume it.
     """
 
     fingerprint: str
@@ -99,21 +92,15 @@ class MatrixBundle:
     vector_cpi: np.ndarray
     scalar_features: np.ndarray
     vector_features: np.ndarray
-    _derived: dict = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
+    _derived: Memo = field(default_factory=Memo, repr=False, compare=False)
 
     def derived(
         self, key: str, build: Callable[["MatrixBundle"], np.ndarray]
     ) -> np.ndarray:
         """The matrix for ``key``, built on first request."""
-        with self._lock:
-            arr = self._derived.get(key)
-            if arr is None:
-                arr = _readonly(np.asarray(build(self), dtype=np.float64))
-                self._derived[key] = arr
-        return arr
+        return self._derived.get(
+            key, lambda: _readonly(np.asarray(build(self), dtype=np.float64))
+        )
 
 
 def _build_bundle(samples: Sequence, fingerprint: str) -> MatrixBundle:
@@ -140,31 +127,13 @@ def _build_bundle(samples: Sequence, fingerprint: str) -> MatrixBundle:
 def get_bundle(samples: Sequence) -> MatrixBundle:
     """The (cached) matrix bundle for a sample list.
 
-    With the cache disabled a fresh bundle is built per call — same
-    values, no sharing across calls.
+    With :data:`BUNDLES` disabled a fresh bundle is built per call —
+    same values, no sharing across calls.
     """
-    global _HITS, _MISSES
     if not samples:
         raise ValueError("cannot bundle an empty sample list")
     fp = samples_fingerprint(samples)
-    if not _ENABLED:
-        return _build_bundle(samples, fp)
-    with _LOCK:
-        bundle = _BUNDLES.get(fp)
-        if bundle is not None:
-            _BUNDLES.move_to_end(fp)
-            _HITS += 1
-            return bundle
-        _MISSES += 1
-    # Build outside the lock (stacking ~100×24 floats is cheap but the
-    # fingerprint walk above already cost more than a dict race would).
-    bundle = _build_bundle(samples, fp)
-    with _LOCK:
-        bundle = _BUNDLES.setdefault(fp, bundle)
-        _BUNDLES.move_to_end(fp)
-        while len(_BUNDLES) > CACHE_CAPACITY:
-            _BUNDLES.popitem(last=False)
-    return bundle
+    return BUNDLES.get(fp, lambda: _build_bundle(samples, fp))
 
 
 # -- featurizer registry -----------------------------------------------------
@@ -208,10 +177,6 @@ def featurizer_by_key(key: str) -> Callable:
         ) from None
 
 
-def featurization_keys() -> tuple[str, ...]:
-    return tuple(sorted(_FEATURIZERS_BY_KEY))
-
-
 def design_matrix(samples: Sequence, feature_fn: Callable) -> np.ndarray:
     """The stacked feature matrix for a featurizer over ``samples``.
 
@@ -242,37 +207,3 @@ _TARGETS: dict = {}
 
 def register_target(kind: str, batch: Callable[[MatrixBundle], np.ndarray]) -> None:
     _TARGETS[kind] = batch
-
-
-# -- cache control -----------------------------------------------------------
-
-
-def clear_matrix_cache() -> None:
-    """Drop every cached bundle (fingerprints recompute from scratch)."""
-    global _HITS, _MISSES
-    with _LOCK:
-        _BUNDLES.clear()
-        _HITS = 0
-        _MISSES = 0
-
-
-def matrix_cache_info() -> dict:
-    with _LOCK:
-        return {
-            "enabled": _ENABLED,
-            "bundles": len(_BUNDLES),
-            "hits": _HITS,
-            "misses": _MISSES,
-        }
-
-
-@contextmanager
-def matrix_cache_disabled() -> Iterator[None]:
-    """Temporarily rebuild bundles per call (seed-path emulation)."""
-    global _ENABLED
-    prior = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = prior

@@ -106,21 +106,6 @@ class SpeedupModel:
             return np.clip(raw, EPS, vf)
         return np.maximum(raw, EPS)
 
-    def predict_rows(self, X: np.ndarray, vf: Sequence[float]) -> np.ndarray:
-        """Predictions for pre-built feature rows (one row per plan point).
-
-        The DSE oracle builds candidate rows itself — one kernel, many
-        plan points sharing the scalar block — and clips each row to its
-        *own* VF, matching ``predict_batch`` row-for-row.
-        """
-        if not self._fitted:
-            raise RuntimeError("predict before fit")
-        X = np.asarray(X, dtype=np.float64)
-        raw = np.asarray(self.regressor.predict(X), dtype=np.float64)
-        if self.clip_to_vf:
-            return np.clip(raw, EPS, np.asarray(vf, dtype=np.float64))
-        return np.maximum(raw, EPS)
-
     @property
     def weights(self) -> np.ndarray:
         return self.regressor.coef_

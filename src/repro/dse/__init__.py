@@ -20,21 +20,16 @@ unroll × strategy per kernel (see DESIGN.md §15):
   oracle-best vs the natural-VF default).
 """
 
-from .engine import (
-    clear_dse_cache,
-    dse_cache_info,
-    model_fingerprint,
-    search_kernel,
-)
+from .engine import SEARCHES, dse_cache_info, model_fingerprint, search_kernel
 from .oracle import candidate_samples, pick_best, score_points
 from .points import PointMeasurement, materialize_point, measure_points
 from .search import SearchResult
 
 __all__ = [
     "PointMeasurement",
+    "SEARCHES",
     "SearchResult",
     "candidate_samples",
-    "clear_dse_cache",
     "dse_cache_info",
     "materialize_point",
     "measure_points",

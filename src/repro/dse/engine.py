@@ -3,13 +3,11 @@
 ``search_kernel`` is the one entry point the experiment, the advisor,
 and the benchmarks call.  It layers two things over the raw drivers:
 
-* **Memoization**, mirroring the experiment scheduler's engine memo:
-  keys are (kernel fingerprint, model fingerprint, target, driver,
-  seed, budget), with per-key locks so concurrent searchers of the
-  same cell share one computation.  The model fingerprint hashes the
-  fitted weights — bumping a registry model version (or refitting on
-  new data) changes the weights and invalidates every dependent search.
-  :func:`dse_cache_disabled` bypasses the memo.
+* **Memoization** in :data:`SEARCHES`, keyed by (kernel fingerprint,
+  model fingerprint, target, driver, seed, budget).  The model
+  fingerprint hashes the fitted weights — bumping a registry model
+  version (or refitting on new data) changes the weights and
+  invalidates every dependent search.
 * **Chaos hardening**: injected faults (``REPRO_FAULTS``) land at the
   ``dse:<kernel>`` site inside a bounded retry loop.  The fault plan's
   decisions are sha256-seeded per (site, attempt), so retries drain the
@@ -21,13 +19,12 @@ and the benchmarks call.  It layers two things over the raw drivers:
 from __future__ import annotations
 
 import hashlib
-import threading
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..ir.kernel import LoopKernel
+from ..memo import Memo
 from ..pipeline import faultinject
 from ..pipeline.faultinject import FaultPlan, InjectedFault
 from ..pipeline.fingerprint import kernel_fingerprint
@@ -39,44 +36,11 @@ from . import oracle, points as points_mod, search
 #: considered permanent (matches the sweep supervisor's default).
 MAX_ATTEMPTS = 5
 
-_DSE_ENABLED = True
-_DSE_LOCK = threading.Lock()
-_DSE_MEMO: dict[tuple, search.SearchResult] = {}
-_DSE_KEY_LOCKS: dict[tuple, threading.Lock] = {}
-_DSE_HITS = 0
-_DSE_MISSES = 0
+#: Search results, one per (kernel, model, target, driver, seed, budget).
+SEARCHES = Memo()
 
-
-def clear_dse_cache() -> None:
-    """Drop every memoized search (the cold-path benchmark reset)."""
-    global _DSE_HITS, _DSE_MISSES
-    with _DSE_LOCK:
-        _DSE_MEMO.clear()
-        _DSE_KEY_LOCKS.clear()
-        _DSE_HITS = 0
-        _DSE_MISSES = 0
-
-
-def dse_cache_info() -> dict:
-    with _DSE_LOCK:
-        return {
-            "enabled": _DSE_ENABLED,
-            "entries": len(_DSE_MEMO),
-            "hits": _DSE_HITS,
-            "misses": _DSE_MISSES,
-        }
-
-
-@contextmanager
-def dse_cache_disabled() -> Iterator[None]:
-    """Every search recomputes (the benchmarks' cold-path emulation)."""
-    global _DSE_ENABLED
-    prior = _DSE_ENABLED
-    _DSE_ENABLED = False
-    try:
-        yield
-    finally:
-        _DSE_ENABLED = prior
+#: The search memo's counters (``enabled``/``entries``/``hits``/``misses``).
+dse_cache_info = SEARCHES.info
 
 
 def model_fingerprint(model) -> str:
@@ -100,27 +64,6 @@ def model_fingerprint(model) -> str:
         h.update(b"|")
         h.update(np.ascontiguousarray(np.asarray(w, dtype=np.float64)).tobytes())
     return h.hexdigest()[:16]
-
-
-def _memo(key: tuple, compute):
-    global _DSE_HITS, _DSE_MISSES
-    if not _DSE_ENABLED:
-        return compute()
-    with _DSE_LOCK:
-        if key in _DSE_MEMO:
-            _DSE_HITS += 1
-            return _DSE_MEMO[key]
-        key_lock = _DSE_KEY_LOCKS.setdefault(key, threading.Lock())
-    with key_lock:
-        with _DSE_LOCK:
-            if key in _DSE_MEMO:
-                _DSE_HITS += 1
-                return _DSE_MEMO[key]
-        value = compute()
-        with _DSE_LOCK:
-            _DSE_MISSES += 1
-            _DSE_MEMO[key] = value
-    return value
 
 
 def _search_once(
@@ -209,4 +152,4 @@ def search_kernel(
                 last = exc
         raise last  # the schedule never drained: surface the fault
 
-    return _memo(key, compute)
+    return SEARCHES.get(key, compute)

@@ -1,21 +1,14 @@
 """Experiment drivers reproducing every figure of the paper."""
 
-from .base import (
-    ExperimentResult,
-    clear_engine_cache,
-    engine_cache_disabled,
-    engine_cache_info,
-    fit_cached,
-    loocv_cached,
-)
+from .base import ENGINE, ExperimentResult, fit_cached, loocv_cached
 from .dataset import (
     ARM_LLV,
+    DATASETS,
     DEFAULT_JITTER,
     Dataset,
     DatasetSpec,
     X86_SLP,
     build_dataset,
-    clear_dataset_memo,
 )
 from .categories import category_report, worst_categories
 from .corpus import (
@@ -28,10 +21,8 @@ from .reporting import ascii_table, fail_summary, text_scatter
 from .scheduler import SuiteRun, bench_suite, run_suite, seed_mode
 
 __all__ = [
+    "ENGINE",
     "ExperimentResult",
-    "clear_engine_cache",
-    "engine_cache_disabled",
-    "engine_cache_info",
     "fit_cached",
     "loocv_cached",
     "SuiteRun",
@@ -39,12 +30,12 @@ __all__ = [
     "run_suite",
     "seed_mode",
     "ARM_LLV",
+    "DATASETS",
     "DEFAULT_JITTER",
     "Dataset",
     "DatasetSpec",
     "X86_SLP",
     "build_dataset",
-    "clear_dataset_memo",
     "category_report",
     "worst_categories",
     "EXPERIMENTS",

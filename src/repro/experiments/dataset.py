@@ -8,19 +8,19 @@ excluded from modelling, as in the paper.
 
 The sweep itself runs through :mod:`repro.pipeline` — supervised and
 layered over the persistent measurement cache — with an in-memory memo
-on top so repeated ``build_dataset`` calls in one process return the
-same object.
+(:data:`DATASETS`) on top so repeated ``build_dataset`` calls in one
+process return the same object.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from ..costmodel.base import Sample
+from ..memo import Memo
 from ..pipeline.build import measure_suite
 from ..pipeline.resilience import FailureReport
 
@@ -107,47 +107,27 @@ class Dataset:
         return text
 
 
-#: In-memory memo, keyed by measurement identity (worker count and
-#: cache state cannot change the values, so they are not in the key).
-_MEMO: dict[tuple, Dataset] = {}
-#: Per-identity build locks: concurrent callers asking for the same
-#: spec must share one sweep, not race two.
-_MEMO_LOCK = threading.Lock()
-_BUILD_LOCKS: dict[tuple, threading.Lock] = {}
+#: Datasets by measurement identity (worker count and cache state cannot
+#: change the values, so they are not in the key).
+DATASETS = Memo()
 
 
 def build_dataset(spec: Optional[DatasetSpec] = None, **kwargs) -> Dataset:
     """Build (or fetch the cached) dataset for a measurement spec.
 
-    Thread-safe: each measurement identity is built exactly once per
-    process; concurrent callers block on the identity's build lock and
-    receive the same ``Dataset`` object.
+    Each measurement identity is built once per process; every caller
+    receives the same ``Dataset`` object.
     """
     if spec is None:
         spec = DatasetSpec(**kwargs)
     elif kwargs:
         raise TypeError("pass either a spec or keyword overrides, not both")
-    key = spec.identity
-    ds = _MEMO.get(key)
-    if ds is not None:
-        return ds
-    with _MEMO_LOCK:
-        build_lock = _BUILD_LOCKS.setdefault(key, threading.Lock())
-    with build_lock:
-        ds = _MEMO.get(key)
-        if ds is None:
-            # partial=True: a kernel the resilient sweep had to
-            # quarantine shrinks the dataset (and is reported) instead
-            # of killing the experiment that asked for it.
-            samples, failures, report = measure_suite(spec, partial=True)
-            ds = Dataset(spec, samples, failures, report)
-            with _MEMO_LOCK:
-                _MEMO[key] = ds
-    return ds
 
+    def build() -> Dataset:
+        # partial=True: a kernel the resilient sweep had to quarantine
+        # shrinks the dataset (and is reported) instead of killing the
+        # experiment that asked for it.
+        samples, failures, report = measure_suite(spec, partial=True)
+        return Dataset(spec, samples, failures, report)
 
-def clear_dataset_memo() -> None:
-    """Drop the in-process memo (persistent cache entries survive)."""
-    with _MEMO_LOCK:
-        _MEMO.clear()
-        _BUILD_LOCKS.clear()
+    return DATASETS.get(spec.identity, build)

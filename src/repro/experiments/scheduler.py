@@ -25,9 +25,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
-from ..costmodel.matrix import matrix_cache_disabled
+from ..costmodel.matrix import BUNDLES
 from ..validation.loocv import svr_warm_disabled
-from .base import ExperimentResult, engine_cache_disabled
+from .base import ENGINE, ExperimentResult
 from .dataset import ARM_LLV, X86_SLP, DatasetSpec, build_dataset
 from .registry import EXPERIMENTS, EXPLICIT_ONLY
 
@@ -133,7 +133,7 @@ def seed_mode() -> Iterator[None]:
     """Disable every engine layer at once: per-call feature stacking,
     per-driver refits, cold SVR folds.  The benchmarks run the suite
     under this to measure the seed path the engine replaced."""
-    with matrix_cache_disabled(), engine_cache_disabled(), svr_warm_disabled():
+    with BUNDLES.disabled(), ENGINE.disabled(), svr_warm_disabled():
         yield
 
 
@@ -147,8 +147,7 @@ def bench_suite(ids: Optional[Sequence[str]] = None) -> dict:
     * ``engine_cold``: fresh fitting-side caches.
     * ``engine_warm``: same invocation again, everything memoized.
     """
-    from ..costmodel.matrix import clear_matrix_cache
-    from .base import clear_engine_cache, loocv_cached
+    from .base import loocv_cached
 
     ids = normalize_ids(ids)
     for spec in required_specs(ids):
@@ -156,8 +155,8 @@ def bench_suite(ids: Optional[Sequence[str]] = None) -> dict:
 
     with seed_mode():
         seed_run = run_suite(ids)
-    clear_matrix_cache()
-    clear_engine_cache()
+    BUNDLES.clear()
+    ENGINE.clear()
     cold_run = run_suite(ids)
     warm_run = run_suite(ids)
 

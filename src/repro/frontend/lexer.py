@@ -74,10 +74,6 @@ class TokenStream:
     def current(self) -> Token:
         return self._tokens[self._idx]
 
-    def peek(self, ahead: int = 1) -> Token:
-        j = min(self._idx + ahead, len(self._tokens) - 1)
-        return self._tokens[j]
-
     def advance(self) -> Token:
         tok = self.current
         if tok.kind != "eof":

@@ -15,7 +15,7 @@ from .generator import (
     GEN_LEN,
     GEN_LEN2,
     GenerationError,
-    clear_gen_memo,
+    KERNELS,
     corpus_names,
     gen_name,
     generate_kernel,
@@ -29,7 +29,7 @@ __all__ = [
     "GEN_LEN",
     "GEN_LEN2",
     "GenerationError",
-    "clear_gen_memo",
+    "KERNELS",
     "corpus_names",
     "gen_name",
     "generate_kernel",

@@ -31,10 +31,11 @@ attempt almost always passes; the gate is the property-based safety
 net, and the property tests (``tests/test_gen.py``) additionally
 replay the execution-based range crosscheck over many seeds.
 
-Generated kernels are memoized per process and per name.  That is not
-just a speed-up: the guard-probability memo and the measurement
-prepass key on object identity, so every lookup of a generated name
-must return the *same* kernel object within a process.
+Generated kernels are memoized per process and per name
+(:data:`KERNELS`).  That is not just a speed-up: the guard-probability
+memo and the measurement prepass key on object identity, so every
+lookup of a generated name must return the *same* kernel object within
+a process.
 """
 
 from __future__ import annotations
@@ -52,13 +53,14 @@ from ..ir import (
     fmax,
     fmin,
 )
+from ..memo import Memo
 
 __all__ = [
     "GEN_CATEGORIES",
     "GEN_LEN",
     "GEN_LEN2",
     "GenerationError",
-    "clear_gen_memo",
+    "KERNELS",
     "corpus_names",
     "gen_name",
     "generate_kernel",
@@ -355,20 +357,13 @@ def _acceptable(kernel: LoopKernel, category: str) -> bool:
     return True
 
 
-_MEMO: dict[str, LoopKernel] = {}
+#: Generated kernels by name.
+KERNELS = Memo()
 
 
 def generate_kernel(name: str) -> LoopKernel:
     """The kernel a generated name denotes (memoized per process)."""
-    kern = _MEMO.get(name)
-    if kern is None:
-        _MEMO[name] = kern = _generate(name)
-    return kern
-
-
-def clear_gen_memo() -> None:
-    """Drop the per-process name→kernel memo (tests)."""
-    _MEMO.clear()
+    return KERNELS.get(name, lambda: _generate(name))
 
 
 def _generate(name: str) -> LoopKernel:

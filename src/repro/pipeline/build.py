@@ -29,6 +29,7 @@ import hashlib
 import os
 import pickle
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Optional, Union
 
 from ..analysis.framework.diagnostics import Severity
@@ -36,6 +37,7 @@ from ..analysis.framework.lint import lint_kernel
 from ..analysis.framework.passmanager import default_manager
 from ..costmodel.base import Sample, sample_from_measurement
 from ..ir.verify import VerificationError, verify_kernel
+from ..memo import Identity, Memo
 from ..sim.measure import measure_kernel
 from ..targets.registry import get_target
 from ..tsvc.suite import all_kernels, get_kernel
@@ -175,10 +177,9 @@ def resolve_timeout(explicit: Optional[float] = None) -> Optional[float]:
     return None
 
 
-#: Kernels that already passed verify+lint, pinned by identity so the
-#: check runs once per kernel object per process (warm rebuilds pay a
-#: set lookup, nothing more).
-_PREPASS_SEEN: dict[int, object] = {}
+#: Kernel objects that passed verify + lint + range check, so the check
+#: runs once per kernel object per process.
+PREPASSED = Memo()
 
 
 def static_prepass(kernels) -> None:
@@ -193,28 +194,26 @@ def static_prepass(kernels) -> None:
     with the framework's analysis results shared) so repeated sweeps
     over the cached suite stay cheap.
     """
-    from ..analysis.framework.ranges import prove_safe
-
     am = default_manager()
     for kern in kernels:
-        if _PREPASS_SEEN.get(id(kern)) is kern:
-            continue
-        verify_kernel(kern)
-        errors = [
-            r for r in lint_kernel(kern, am) if r.severity is Severity.ERROR
-        ]
-        if errors:
-            raise VerificationError(
-                "; ".join(r.message for r in errors), kern.name
-            )
-        safety = prove_safe(kern, am)
-        if safety.classification == "proven-unsafe":
-            raise VerificationError(
-                "range analysis proves an out-of-bounds access: "
-                + "; ".join(safety.reasons),
-                kern.name,
-            )
-        _PREPASS_SEEN[id(kern)] = kern
+        PREPASSED.get(Identity(kern), partial(_check_kernel, kern, am))
+
+
+def _check_kernel(kern, am) -> bool:
+    from ..analysis.framework.ranges import prove_safe
+
+    verify_kernel(kern)
+    errors = [r for r in lint_kernel(kern, am) if r.severity is Severity.ERROR]
+    if errors:
+        raise VerificationError("; ".join(r.message for r in errors), kern.name)
+    safety = prove_safe(kern, am)
+    if safety.classification == "proven-unsafe":
+        raise VerificationError(
+            "range analysis proves an out-of-bounds access: "
+            + "; ".join(safety.reasons),
+            kern.name,
+        )
+    return True
 
 
 #: What one kernel's sweep cell resolves to: the model-facing sample,
@@ -368,8 +367,9 @@ def measure_suite(
     report = FailureReport()
     if pending:
         width = resolve_workers(workers, pending=len(pending))
+        # Only sweep kinds need a pool; a serve-only plan faults nothing here.
         faults_active = faults is not None and any(
-            float(r) > 0 for r in faults.rates.values()
+            faults.rate(kind) > 0 for kind in faultinject.FAULT_KINDS
         )
         use_pool = timeout is not None or (faults_active and width > 1)
 

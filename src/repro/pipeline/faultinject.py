@@ -11,10 +11,12 @@ retries drain every injected failure and the surviving samples are
 Configuration mirrors the rest of the pipeline:
 
 * ``REPRO_FAULTS=crash:0.1,hang:0.05,corrupt_cache:0.1,flaky_exc:0.1``
-  — per-fault firing rates in ``[0, 1]``;
+  — per-fault firing rates in ``[0, 1]``; the advisor service's
+  request-scoped kinds (:data:`SERVE_FAULT_KINDS`) go in the same spec;
 * ``REPRO_FAULTS_SEED`` — plan seed (default 0);
-* ``REPRO_FAULTS_HANG_S`` — how long an injected hang sleeps
-  (default 30 s; set well above the supervisor's ``--timeout``).
+* ``REPRO_FAULTS_HANG_S`` — how long an injected hang or
+  ``slow_handler`` sleeps (default 30 s; set well above the
+  supervisor's ``--timeout`` or the service deadline).
 
 Faults that need a sacrificial process (``crash`` hard-exits, ``hang``
 sleeps) only fire inside pool workers (:func:`mark_worker` is the pool
@@ -51,7 +53,8 @@ FAULT_KINDS = ("crash", "hang", "corrupt_cache", "flaky_exc")
 #: a registry entry whose bytes rot on disk.  Scheduled by the same
 #: ``sha256(seed:kind:request:attempt)`` draw as the sweep faults, so a
 #: service chaos run is exactly reproducible.  ``repro.serve`` applies
-#: them; ``REPRO_SERVE_FAULTS`` configures them.
+#: them; ``REPRO_FAULTS`` configures them along with the sweep kinds,
+#: and each layer draws only its own kinds.
 SERVE_FAULT_KINDS = (
     "slow_handler",
     "worker_crash",
@@ -177,25 +180,6 @@ def plan_from_env() -> Optional[FaultPlan]:
         return None
     seed = int(os.environ.get("REPRO_FAULTS_SEED", "0"))
     hang = float(os.environ.get("REPRO_FAULTS_HANG_S", "30"))
-    return parse_faults(spec, seed=seed, hang_seconds=hang)
-
-
-def serve_plan_from_env() -> Optional[FaultPlan]:
-    """The request-scoped plan ``REPRO_SERVE_FAULTS`` describes, if any.
-
-    Kept separate from :func:`plan_from_env` so a chaos run can fault
-    the serving layer without also faulting the measurement sweeps it
-    may trigger underneath (and vice versa).  ``REPRO_SERVE_FAULTS_SEED``
-    seeds it; the hang duration doubles as the ``slow_handler`` sleep
-    (``REPRO_SERVE_FAULTS_HANG_S``, default 30 s — set it above the
-    service deadline so an injected slowdown is indistinguishable from
-    a real hang).
-    """
-    spec = os.environ.get("REPRO_SERVE_FAULTS", "")
-    if not spec.strip():
-        return None
-    seed = int(os.environ.get("REPRO_SERVE_FAULTS_SEED", "0"))
-    hang = float(os.environ.get("REPRO_SERVE_FAULTS_HANG_S", "30"))
     return parse_faults(spec, seed=seed, hang_seconds=hang)
 
 

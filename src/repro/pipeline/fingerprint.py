@@ -8,17 +8,18 @@ timing table, an edited kernel, a different noise seed — lands in a
 different cache slot instead of resurrecting a stale number.
 
 :func:`kernel_fingerprint` is the narrower digest of one kernel's
-content alone; the plan-space search memo keys on it.
+content alone; the plan-space search memo keys on it.  It is memoized
+per kernel object in :data:`FINGERPRINTS`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from pathlib import Path
 
 from ..ir.kernel import LoopKernel
 from ..ir.printer import kernel_to_source
+from ..memo import Identity, Memo
 
 #: Bump when the cache entry layout (not the measurement semantics)
 #: changes; semantic drift is covered by :func:`code_digest`.
@@ -26,10 +27,8 @@ PIPELINE_SCHEMA_VERSION = 1
 
 _CODE_DIGEST: str | None = None
 
-#: kernel_fingerprint memo, keyed by id(kernel); the kernel object is
-#: stored in the value to pin its id while the entry is alive.
-_FP_MEMO: "OrderedDict[int, tuple[LoopKernel, str]]" = OrderedDict()
-_FP_MEMO_MAX = 1024
+#: Kernel content digests by kernel object.
+FINGERPRINTS = Memo(max_entries=1024)
 
 
 def code_digest() -> str:
@@ -84,15 +83,9 @@ def measurement_fingerprint(
 
 def kernel_fingerprint(kernel: LoopKernel) -> str:
     """Content digest of a kernel (name + printed source), memoized."""
-    key = id(kernel)
-    hit = _FP_MEMO.get(key)
-    if hit is not None and hit[0] is kernel:
-        _FP_MEMO.move_to_end(key)
-        return hit[1]
-    digest = hashlib.sha256(
-        (kernel.name + "\n" + kernel_to_source(kernel)).encode()
-    ).hexdigest()
-    _FP_MEMO[key] = (kernel, digest)
-    while len(_FP_MEMO) > _FP_MEMO_MAX:
-        _FP_MEMO.popitem(last=False)
-    return digest
+    return FINGERPRINTS.get(
+        Identity(kernel),
+        lambda: hashlib.sha256(
+            (kernel.name + "\n" + kernel_to_source(kernel)).encode()
+        ).hexdigest(),
+    )

@@ -36,9 +36,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..pipeline.faultinject import (
+    SERVE_FAULT_KINDS,
     FaultPlan,
     InjectedWorkerCrash,
-    serve_plan_from_env,
+    plan_from_env,
 )
 from ..store import MISS
 from .advisor import Advisor, AdvisorError
@@ -51,33 +52,36 @@ HANG_GRACE_S = 0.25
 SUPERVISOR_TICK_S = 0.05
 
 
-def resolve_timeout() -> float:
-    env = os.environ.get("REPRO_SERVE_TIMEOUT")
+def _positive_env(name: str, parse, default):
+    """``name`` parsed by ``parse``, or ``default`` when unset or empty.
+
+    A value that does not parse or is not positive raises a
+    ``ValueError`` naming the variable, never a silent default.
+    """
+    env = os.environ.get(name, "").strip()
+    if not env:
+        return default
     try:
-        value = float(env) if env else 10.0
+        value = parse(env)
     except ValueError:
-        value = 10.0
-    return max(value, 0.05)
+        value = 0
+    if not value > 0:
+        raise ValueError(f"{name} must be a positive {parse.__name__}, got {env!r}")
+    return value
+
+
+def resolve_timeout() -> float:
+    return max(_positive_env("REPRO_SERVE_TIMEOUT", float, 10.0), 0.05)
 
 
 def resolve_queue_size() -> int:
-    env = os.environ.get("REPRO_SERVE_QUEUE")
-    try:
-        value = int(env) if env else 64
-    except ValueError:
-        value = 64
-    return max(value, 1)
+    return _positive_env("REPRO_SERVE_QUEUE", int, 64)
 
 
 def resolve_workers() -> int:
-    env = os.environ.get("REPRO_SERVE_WORKERS")
-    try:
-        value = int(env) if env else 0
-    except ValueError:
-        value = 0
-    if value > 0:
-        return value
-    return min(4, max(2, (os.cpu_count() or 2)))
+    return _positive_env(
+        "REPRO_SERVE_WORKERS", int, min(4, max(2, (os.cpu_count() or 2)))
+    )
 
 
 @dataclass
@@ -164,7 +168,7 @@ class WorkerPool:
             queue_size if queue_size is not None else resolve_queue_size()
         )
         if fault_plan is None:
-            fault_plan = serve_plan_from_env()
+            fault_plan = plan_from_env()
         self.fault_plan = fault_plan
         if hang_s is None:
             hang_s = (
@@ -351,7 +355,7 @@ class WorkerPool:
             return set()
         fired = {
             kind
-            for kind in plan.rates
+            for kind in SERVE_FAULT_KINDS
             if plan.decide(kind, ticket.request_id, ticket.attempt)
         }
         if fired:
@@ -424,7 +428,9 @@ class WorkerPool:
             "queue_depth": self._queue.qsize(),
             "queue_size": self.queue_size,
             "timeout_s": self.timeout,
-            "faults": sorted(self.fault_plan.rates)
+            "faults": sorted(
+                k for k in self.fault_plan.rates if k in SERVE_FAULT_KINDS
+            )
             if self.fault_plan
             else [],
             **self.stats.as_dict(),

@@ -18,10 +18,10 @@ from .timing import (
     resource_bound,
 )
 from .measure import (
+    GUARD_PROBS,
     GUARD_SAMPLE_ITERS,
     MeasuredSample,
     apply_jitter,
-    clear_guard_prob_memo,
     estimate_guard_probs,
     measure_kernel,
     measure_plan,
@@ -41,10 +41,10 @@ __all__ = [
     "overhead_cycles",
     "recurrence_bound",
     "resource_bound",
+    "GUARD_PROBS",
     "GUARD_SAMPLE_ITERS",
     "MeasuredSample",
     "apply_jitter",
-    "clear_guard_prob_memo",
     "estimate_guard_probs",
     "measure_kernel",
     "measure_plan",

@@ -13,7 +13,6 @@ and without the vectorizer) and timed on the ARMv8 / x86 machines.
 from __future__ import annotations
 
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -24,6 +23,7 @@ from ..codegen.scalar_gen import lower_scalar
 from ..codegen.vector_gen import lower_vector
 from ..ir.kernel import LoopKernel
 from ..ir.stmt import IfBlock
+from ..memo import Identity, Memo
 from ..targets.base import Target
 from ..targets.generic_ir import GENERIC_IR
 from ..vectorize.llv import vectorize_loop
@@ -70,20 +70,12 @@ class MeasuredSample:
         )
 
 
-#: Memo of guard-probability runs, keyed by (id(kernel), seed).  The
-#: run is deterministic given those two, and several measurements of
-#: one kernel (scalar vs vector lowering, LLV vs SLP plans, jitter
-#: sweeps) would otherwise each repeat the functional run — the most
-#: expensive stage of a measurement.  The kernel object is stored in
-#: the value to pin its id while the entry is alive.
-_GUARD_MEMO: "OrderedDict[tuple[int, int], tuple[LoopKernel, dict[int, float]]]" = (
-    OrderedDict()
-)
-_GUARD_MEMO_MAX = 512
-
-
-def clear_guard_prob_memo() -> None:
-    _GUARD_MEMO.clear()
+#: Guard-probability runs by (kernel object, seed).  The run is
+#: deterministic given those two, and several measurements of one kernel
+#: (scalar vs vector lowering, LLV vs SLP plans, jitter sweeps) would
+#: otherwise each repeat the functional run — the most expensive stage
+#: of a measurement.
+GUARD_PROBS = Memo(max_entries=512)
 
 
 def estimate_guard_probs(kernel: LoopKernel, seed: int = 0) -> dict[int, float]:
@@ -94,17 +86,14 @@ def estimate_guard_probs(kernel: LoopKernel, seed: int = 0) -> dict[int, float]:
     """
     if not any(isinstance(s, IfBlock) for s in kernel.stmts()):
         return {}
-    key = (id(kernel), seed)
-    hit = _GUARD_MEMO.get(key)
-    if hit is not None and hit[0] is kernel:
-        _GUARD_MEMO.move_to_end(key)
-        return dict(hit[1])
-    bufs = make_buffers(kernel, seed=seed)
-    result = run_scalar(kernel, bufs, max_inner_iters=GUARD_SAMPLE_ITERS)
-    _GUARD_MEMO[key] = (kernel, result.guard_probs)
-    while len(_GUARD_MEMO) > _GUARD_MEMO_MAX:
-        _GUARD_MEMO.popitem(last=False)
-    return dict(result.guard_probs)
+
+    def run() -> dict[int, float]:
+        bufs = make_buffers(kernel, seed=seed)
+        return run_scalar(
+            kernel, bufs, max_inner_iters=GUARD_SAMPLE_ITERS
+        ).guard_probs
+
+    return dict(GUARD_PROBS.get((Identity(kernel), seed), run))
 
 
 def apply_jitter(value: float, rng: np.random.Generator, sigma: float) -> float:

@@ -15,9 +15,8 @@ the dependence walk is never repeated per point.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from ..analysis.dependence import DependenceInfo
 from ..analysis.reduction import ScalarClass, ScalarInfo
@@ -155,16 +154,6 @@ class PlanPoint:
 
 def scalar_point(target: "Target") -> PlanPoint:
     return PlanPoint(1, 1, 1, "scalar", target.name)
-
-
-def space_signature(points: Sequence[PlanPoint]) -> str:
-    """Stable digest of a candidate set (a DSE memo key component)."""
-    h = hashlib.sha256()
-    for p in points:
-        h.update(
-            f"{p.vf}|{p.interleave}|{p.unroll}|{p.strategy}|{p.target};".encode()
-        )
-    return h.hexdigest()[:16]
 
 
 def _slp_viable(kernel: LoopKernel, target: "Target", vf: int) -> bool:

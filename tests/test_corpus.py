@@ -13,7 +13,7 @@ import pytest
 from repro.analysis.framework.passmanager import default_manager
 from repro.experiments import ARM_LLV
 from repro.experiments.corpus import corpus_kernel_names, e13_sizes
-from repro.gen import clear_gen_memo, corpus_names
+from repro.gen import KERNELS, corpus_names
 from repro.pipeline import MeasurementCache, measure_corpus, measure_suite
 from repro.pipeline.faultinject import _samples_equal
 from repro.tsvc import get_kernel, kernel_names
@@ -25,9 +25,9 @@ def nocache() -> MeasurementCache:
 
 @pytest.fixture(autouse=True)
 def _fresh_state():
-    clear_gen_memo()
+    KERNELS.clear()
     yield
-    clear_gen_memo()
+    KERNELS.clear()
 
 
 class TestCorpusNames:

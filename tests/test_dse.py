@@ -31,12 +31,7 @@ import pytest
 
 from repro.codegen.interleave import interleave_stream
 from repro.costmodel.speedup import SpeedupModel
-from repro.dse import (
-    clear_dse_cache,
-    dse_cache_info,
-    model_fingerprint,
-    search_kernel,
-)
+from repro.dse import SEARCHES, model_fingerprint, search_kernel
 from repro.dse import oracle, points as points_mod, search
 from repro.fitting.nnls import NonNegativeLeastSquares
 from repro.ir.stmt import IfBlock
@@ -59,9 +54,9 @@ SUITE = list(all_kernels(dims=SMALL))
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    clear_dse_cache()
+    SEARCHES.clear()
     yield
-    clear_dse_cache()
+    SEARCHES.clear()
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +179,7 @@ def test_drivers_deterministic_under_seed(model):
     kernel = SUITE[1]
     for driver in search.DRIVERS:
         a = search_kernel(kernel, ARMV8_NEON, model, driver=driver, seed=3)
-        clear_dse_cache()
+        SEARCHES.clear()
         b = search_kernel(kernel, ARMV8_NEON, model, driver=driver, seed=3)
         assert a.to_dict() == b.to_dict(), driver
 
@@ -385,23 +380,21 @@ def test_lowering_error_is_kept_per_recipe(model, monkeypatch):
 def test_memo_hits_and_model_bump_invalidates(model, bumped_model):
     kernel = SUITE[2]
     a = search_kernel(kernel, ARMV8_NEON, model)
-    before = dse_cache_info()
+    before = SEARCHES.info()
     b = search_kernel(kernel, ARMV8_NEON, model)
-    after = dse_cache_info()
+    after = SEARCHES.info()
     assert b is a, "warm search must return the memoized object"
     assert after["hits"] == before["hits"] + 1
 
     assert model_fingerprint(model) != model_fingerprint(bumped_model)
     c = search_kernel(kernel, ARMV8_NEON, bumped_model)
     assert c is not a
-    assert dse_cache_info()["misses"] == after["misses"] + 1
+    assert SEARCHES.info()["misses"] == after["misses"] + 1
 
 
 def test_cache_disabled_recomputes(model):
-    from repro.dse.engine import dse_cache_disabled
-
     kernel = SUITE[3]
-    with dse_cache_disabled():
+    with SEARCHES.disabled():
         a = search_kernel(kernel, ARMV8_NEON, model)
         b = search_kernel(kernel, ARMV8_NEON, model)
     assert a is not b
@@ -414,7 +407,7 @@ def test_cache_disabled_recomputes(model):
 def test_faulted_search_bit_identical(model, driver):
     kernel = SUITE[4]
     clean = search_kernel(kernel, ARMV8_NEON, model, driver=driver)
-    clear_dse_cache()
+    SEARCHES.clear()
     plan = parse_faults("crash:0.5", seed=11)
     faulted = search_kernel(
         kernel, ARMV8_NEON, model, driver=driver, faults=plan

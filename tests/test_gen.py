@@ -22,8 +22,8 @@ from repro.analysis.framework import (
 )
 from repro.gen import (
     GEN_CATEGORIES,
+    KERNELS,
     GenerationError,
-    clear_gen_memo,
     corpus_names,
     gen_name,
     generate_kernel,
@@ -51,9 +51,9 @@ def _sweep_names() -> list[str]:
 
 @pytest.fixture(autouse=True)
 def _fresh_memo():
-    clear_gen_memo()
+    KERNELS.clear()
     yield
-    clear_gen_memo()
+    KERNELS.clear()
 
 
 class TestNaming:
@@ -85,7 +85,7 @@ class TestValidityByConstruction:
 
     @pytest.fixture(scope="class")
     def kernels(self):
-        clear_gen_memo()
+        KERNELS.clear()
         return [generate_kernel(n) for n in _sweep_names()]
 
     def test_every_kernel_verifies(self, kernels):
@@ -132,7 +132,7 @@ class TestDeterminism:
     def test_same_name_same_kernel(self):
         name = corpus_names(6, seed=2)[4]
         a = generate_kernel(name)
-        clear_gen_memo()
+        KERNELS.clear()
         b = generate_kernel(name)
         assert a is not b
         assert kernel_to_source(a) == kernel_to_source(b)

@@ -169,6 +169,10 @@ class TestSuiteIsClean:
     def test_static_prepass_accepts_suite_and_memoizes(self):
         kernels = list(all_kernels())
         static_prepass(kernels)  # must not raise
-        from repro.pipeline.build import _PREPASS_SEEN
+        from repro.pipeline.build import PREPASSED
 
-        assert all(_PREPASS_SEEN.get(id(k)) is k for k in kernels)
+        before = PREPASSED.info()
+        static_prepass(kernels)
+        after = PREPASSED.info()
+        assert after["hits"] - before["hits"] == len(kernels)
+        assert after["misses"] == before["misses"]

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from repro.costmodel import (
+    BUNDLES,
     LLVMLikeCostModel,
     LinearCostModel,
     RatedSpeedupModel,
     SpeedupModel,
-    clear_matrix_cache,
     design_matrix,
     get_bundle,
-    matrix_cache_disabled,
-    matrix_cache_info,
     predict_all,
     samples_fingerprint,
 )
@@ -27,9 +25,9 @@ from tests.test_costmodel import feat, mk_sample
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    clear_matrix_cache()
+    BUNDLES.clear()
     yield
-    clear_matrix_cache()
+    BUNDLES.clear()
 
 
 def toy_samples(n=10, seed=0):
@@ -68,7 +66,7 @@ class TestBatchParity:
     def test_design_matrix_matches_loop(self, fn):
         samples = toy_samples()
         looped = np.stack([fn(s) for s in samples])
-        with matrix_cache_disabled():
+        with BUNDLES.disabled():
             fresh = design_matrix(samples, fn)
         cached = design_matrix(samples, fn)
         assert np.array_equal(cached, looped)
@@ -146,7 +144,7 @@ class TestInvalidation:
         a = get_bundle(toy_samples())
         b = get_bundle(toy_samples())
         assert a is b
-        assert matrix_cache_info()["hits"] >= 1
+        assert BUNDLES.info()["hits"] >= 1
 
     def test_mutated_dataset_rebuilds(self):
         samples = toy_samples()
@@ -178,19 +176,19 @@ class TestInvalidation:
 class TestCacheControl:
     def test_disabled_context_builds_fresh(self):
         samples = toy_samples()
-        with matrix_cache_disabled():
+        with BUNDLES.disabled():
             a = get_bundle(samples)
             b = get_bundle(samples)
             assert a is not b
             assert np.array_equal(a.measured, b.measured)
-        assert matrix_cache_info()["bundles"] == 0
+        assert BUNDLES.info()["entries"] == 0
 
     def test_clear_drops_bundles(self):
         get_bundle(toy_samples())
-        assert matrix_cache_info()["bundles"] == 1
-        clear_matrix_cache()
-        info = matrix_cache_info()
-        assert info["bundles"] == 0 and info["hits"] == 0
+        assert BUNDLES.info()["entries"] == 1
+        BUNDLES.clear()
+        info = BUNDLES.info()
+        assert info["entries"] == 0 and info["hits"] == 0
 
     def test_shared_arrays_are_readonly(self):
         samples = toy_samples()
@@ -210,5 +208,5 @@ class TestCacheControl:
         X = design_matrix(samples, custom)
         assert np.array_equal(X, np.stack([custom(s) for s in samples]))
         assert X.flags.writeable  # per-call stack, caller owns it
-        assert matrix_cache_info()["bundles"] == 0
+        assert BUNDLES.info()["entries"] == 0
 

@@ -80,7 +80,7 @@ def test_guard_probs_memoized_per_kernel_and_seed(monkeypatch):
     """Measuring several plans of one kernel runs the estimator once."""
     import repro.sim.measure as measure_mod
 
-    measure_mod.clear_guard_prob_memo()
+    measure_mod.GUARD_PROBS.clear()
     kern = get_kernel("s271", SMALL)
     runs = []
     real_run = measure_mod.run_scalar
@@ -106,7 +106,7 @@ def test_guard_memo_distinguishes_kernel_objects():
     """Same-named kernels at different dims must not share probabilities."""
     import repro.sim.measure as measure_mod
 
-    measure_mod.clear_guard_prob_memo()
+    measure_mod.GUARD_PROBS.clear()
     from repro.tsvc import Dims
 
     a = get_kernel("s271", SMALL)

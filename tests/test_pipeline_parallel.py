@@ -97,8 +97,9 @@ def test_no_pool_without_deadline_or_fault_plan(tmp_path, monkeypatch):
 
 def test_pool_policy_deadline_and_fault_plan(tmp_path, monkeypatch):
     """A deadline gets a pool even one worker wide; a fault plan gets
-    one only with more than one worker; the width is capped at the
-    pending kernels."""
+    one only with more than one worker and a sweep fault kind (a
+    serve-only plan faults nothing in a sweep); the width is capped at
+    the pending kernels."""
     built = _record_pools(monkeypatch)
     kernels = [get_kernel(n) for n in kernel_names()[:3]]
     plan = FaultPlan(rates={"flaky_exc": 0.01})
@@ -114,6 +115,8 @@ def test_pool_policy_deadline_and_fault_plan(tmp_path, monkeypatch):
     assert sweep(workers=2, faults=plan) == 2
     assert sweep(workers=1, faults=plan) is None
     assert sweep(workers=4, faults=FaultPlan()) is None
+    serve_only = FaultPlan(rates={"slow_handler": 0.5, "worker_crash": 0.5})
+    assert sweep(workers=4, faults=serve_only) is None
 
 
 def test_deadline_enforced_with_one_worker(tmp_path):

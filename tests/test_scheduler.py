@@ -6,11 +6,9 @@ import pytest
 from repro.costmodel import RatedSpeedupModel, SpeedupModel
 from repro.experiments import (
     ARM_LLV,
+    ENGINE,
     X86_SLP,
     build_dataset,
-    clear_engine_cache,
-    engine_cache_disabled,
-    engine_cache_info,
     fit_cached,
     loocv_cached,
     run_suite,
@@ -32,9 +30,9 @@ FAST_IDS = ["E1", "E2", "E3", "E9"]
 
 @pytest.fixture(autouse=True)
 def _fresh_engine():
-    clear_engine_cache()
+    ENGINE.clear()
     yield
-    clear_engine_cache()
+    ENGINE.clear()
 
 
 class TestNormalizeIds:
@@ -89,7 +87,7 @@ class TestEngineMemo:
         a = fit_cached(SpeedupModel(NonNegativeLeastSquares()), samples)
         b = fit_cached(SpeedupModel(NonNegativeLeastSquares()), samples)
         assert a is b
-        info = engine_cache_info()
+        info = ENGINE.info()
         assert info["hits"] >= 1
 
     def test_loocv_cached_returns_equal_copies(self):
@@ -118,8 +116,8 @@ class TestEngineMemo:
 
     def test_disabled_context_skips_the_memo(self):
         samples = build_dataset(ARM_LLV).samples
-        with engine_cache_disabled():
+        with ENGINE.disabled():
             a = fit_cached(SpeedupModel(LeastSquares()), samples)
             b = fit_cached(SpeedupModel(LeastSquares()), samples)
             assert a is not b
-        assert engine_cache_info()["entries"] == 0
+        assert ENGINE.info()["entries"] == 0

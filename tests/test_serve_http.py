@@ -10,6 +10,12 @@ import pytest
 
 from repro.pipeline.faultinject import FaultPlan
 from repro.serve import Advisor, AdvisorServer, ModelRegistry, WorkerPool
+from repro.serve.workers import (
+    Ticket,
+    resolve_queue_size,
+    resolve_timeout,
+    resolve_workers,
+)
 
 SAXPY = """
 kernel saxpy {
@@ -230,3 +236,46 @@ def test_pool_answers_within_deadline_under_hang(tmp_path):
         assert elapsed < 0.3 + 0.5
     finally:
         pool.stop(drain=False, timeout=0.5)
+
+
+@pytest.mark.parametrize(
+    ("var", "resolve", "bad"),
+    [
+        ("REPRO_SERVE_TIMEOUT", resolve_timeout, "5s"),
+        ("REPRO_SERVE_TIMEOUT", resolve_timeout, "-1"),
+        ("REPRO_SERVE_QUEUE", resolve_queue_size, "lots"),
+        ("REPRO_SERVE_QUEUE", resolve_queue_size, "2.5"),
+        ("REPRO_SERVE_QUEUE", resolve_queue_size, "0"),
+        ("REPRO_SERVE_WORKERS", resolve_workers, "four"),
+        ("REPRO_SERVE_WORKERS", resolve_workers, "-2"),
+    ],
+)
+def test_serve_knobs_invalid_env_raises(monkeypatch, var, resolve, bad):
+    monkeypatch.setenv(var, bad)
+    with pytest.raises(ValueError, match=var):
+        resolve()
+
+
+def test_serve_knobs_env(monkeypatch):
+    for var in ("REPRO_SERVE_TIMEOUT", "REPRO_SERVE_QUEUE", "REPRO_SERVE_WORKERS"):
+        monkeypatch.delenv(var, raising=False)
+    assert resolve_timeout() == 10.0
+    assert resolve_queue_size() == 64
+    assert 2 <= resolve_workers() <= 4
+    monkeypatch.setenv("REPRO_SERVE_TIMEOUT", "2.5")
+    monkeypatch.setenv("REPRO_SERVE_QUEUE", "8")
+    monkeypatch.setenv("REPRO_SERVE_WORKERS", "3")
+    assert (resolve_timeout(), resolve_queue_size(), resolve_workers()) == (2.5, 8, 3)
+
+
+def test_pool_reads_fault_plan_env_and_draws_only_serve_kinds(tmp_path, monkeypatch):
+    """One ``REPRO_FAULTS`` plan feeds sweeps and the pool; the pool
+    fires only the request-scoped kinds."""
+    monkeypatch.setenv("REPRO_FAULTS", "crash:1.0,worker_crash:1.0")
+    monkeypatch.setenv("REPRO_FAULTS_HANG_S", "7")
+    pool = WorkerPool(Advisor(ModelRegistry(tmp_path / "registry")), workers=1)
+    assert pool.fault_plan.rates == {"crash": 1.0, "worker_crash": 1.0}
+    assert pool.hang_s == 7.0
+    ticket = Ticket("r0", {}, attempt=0, deadline=0.0)
+    assert pool._decide_faults(ticket) == {"worker_crash"}
+    assert pool.health()["faults"] == ["worker_crash"]
