@@ -153,9 +153,6 @@ class Diagnostics:
             return None
         return max((r.severity for r in sel), key=lambda s: s.rank)
 
-    def render(self, kernel: Optional[str] = None) -> str:
-        return "\n".join(r.format() for r in self.remarks(kernel=kernel))
-
     def to_json(self) -> list[dict]:
         return [r.to_dict() for r in self._remarks]
 

@@ -16,7 +16,6 @@ diagnostics from every pass agree on provenance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ...ir.expr import Expr, Indirect, IterValue, Load, ScalarRef
 from ...ir.kernel import LoopKernel
@@ -33,13 +32,6 @@ ENTRY_DEF = -1
 def stmt_list(kernel: LoopKernel) -> list[Stmt]:
     """Kernel statements in pre-order; index ``i`` is remark label Si."""
     return list(kernel.stmts())
-
-
-def stmt_index_of(kernel: LoopKernel, stmt: Stmt) -> Optional[int]:
-    for i, s in enumerate(kernel.stmts()):
-        if s is stmt:
-            return i
-    return None
 
 
 def _scalar_reads(stmt: Stmt) -> set[str]:
@@ -348,7 +340,6 @@ __all__ = [
     "ReachingDefs",
     "ReachingDefsPass",
     "ScalarClassPass",
-    "stmt_index_of",
     "stmt_list",
     "linearize",
 ]

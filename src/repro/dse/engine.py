@@ -28,6 +28,7 @@ from ..memo import Memo
 from ..pipeline import faultinject
 from ..pipeline.faultinject import FaultPlan, InjectedFault
 from ..pipeline.fingerprint import kernel_fingerprint
+from ..settings import current
 from ..targets.base import Target
 from ..vectorize.plan import enumerate_plan_points
 from . import oracle, points as points_mod, search
@@ -129,7 +130,7 @@ def search_kernel(
         raise ValueError(
             f"unknown driver {driver!r}; expected one of {', '.join(search.DRIVERS)}"
         )
-    plan = faults if faults is not None else faultinject.plan_from_env()
+    plan = faults if faults is not None else current().fault_plan
     key = (
         "dse",
         kernel_fingerprint(kernel),

@@ -4,9 +4,10 @@ Runs the requested paper-figure reproductions through the suite
 scheduler — shared dataset builds, shared fitted models — and prints
 their tables and text scatters.  ``--bench`` times the engine against
 the per-driver seed path and writes ``BENCH_experiments.json``.
-Measurement-pipeline knobs (the persistent cache, deadlines and the
-worker processes that enforce them) are configured here and apply to
-every dataset the selected experiments build.
+Measurement-pipeline flags (the persistent cache, deadlines and the
+worker processes that enforce them) are folded into the process's
+settings (:mod:`repro.settings`) here and apply to every dataset the
+selected experiments build.
 
 ``python -m repro.experiments analyze …`` dispatches to the static
 analysis CLI instead (see :mod:`.analyze`), ``… chaos`` to the
@@ -24,12 +25,14 @@ import argparse
 import json
 import sys
 
-from ..pipeline import configure, default_cache
+from ..pipeline import default_cache
+from ..settings import current, use
 from .registry import EXPERIMENTS
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    current()  # a malformed REPRO_* value stops every subcommand here
     if argv and argv[0] == "analyze":
         from .analyze import main as analyze_main
 
@@ -156,20 +159,19 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{eid:4s} {title}")
         return 0
 
-    configure(
+    settings = current().replace(
         workers=args.workers,
         cache_dir=args.cache_dir,
-        cache_enabled=False if args.no_cache else None,
+        cache=False if args.no_cache else None,
         timeout=args.timeout,
         max_attempts=args.max_attempts,
         checkpoint_dir=args.checkpoint_dir,
-        resume=True if args.resume else None,
+        resume=args.resume or None,
     )
-    if args.resume and args.checkpoint_dir is None:
+    if settings.resume and settings.checkpoint_dir is None:
         # --resume without a directory still needs a checkpoint to read.
-        from ..pipeline import default_checkpoint_dir
-
-        configure(checkpoint_dir=str(default_checkpoint_dir()))
+        settings = settings.replace(checkpoint_dir=settings.cache_dir / "checkpoints")
+    use(settings)
     if args.clear_cache:
         removed = default_cache().clear()
         print(f"[cache] cleared {removed} entries from {default_cache().root}")

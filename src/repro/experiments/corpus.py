@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Optional, Sequence
@@ -40,41 +39,23 @@ import numpy as np
 from ..costmodel.base import Sample, predict_all
 from ..gen import corpus_names
 from ..pipeline.corpus import measure_corpus
+from ..settings import current, use
 from ..validation.metrics import confusion, rmse
 from .base import ExperimentResult, fit_cached, make_speedup_model
 from .categories import category_report
 from .dataset import ARM_LLV, X86_SLP, DatasetSpec
 
 __all__ = [
-    "DEFAULT_SIZES",
     "corpus_kernel_names",
-    "e13_sizes",
     "main",
     "publish_corpus_model",
     "run_e13",
 ]
 
-#: Default learning-curve corpus sizes.  151 is the bare TSVC suite —
-#: the paper's operating point — so the first row is the status quo
-#: and every later row isolates what the synthetic kernels add.
-DEFAULT_SIZES = (151, 400, 800, 1500)
-
 #: Generator seed for the held-out eval corpus.  Must differ from the
 #: training seed (0): eval kernels are sampled from the same taxonomy
 #: but are never in any training corpus.
 EVAL_SEED = 1
-DEFAULT_EVAL_SIZE = 120
-
-
-def e13_sizes() -> tuple[int, ...]:
-    """Corpus sizes for the learning curve (``REPRO_E13_SIZES`` env)."""
-    raw = os.environ.get("REPRO_E13_SIZES", "")
-    if not raw.strip():
-        return DEFAULT_SIZES
-    sizes = sorted({int(tok) for tok in raw.replace(",", " ").split()})
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError(f"bad REPRO_E13_SIZES {raw!r}")
-    return tuple(sizes)
 
 
 def corpus_kernel_names(size: int, *, seed: int = 0) -> list[str]:
@@ -93,12 +74,6 @@ def corpus_kernel_names(size: int, *, seed: int = 0) -> list[str]:
     if size <= len(suite):
         return suite[:size]
     return suite + corpus_names(size - len(suite), seed=seed)
-
-
-def _eval_spec(spec: DatasetSpec) -> DatasetSpec:
-    # Same measurement identity as training — only the kernel set
-    # (different generator seed) separates eval from train.
-    return spec
 
 
 def _eval_row(model, samples: Sequence[Sample]) -> dict:
@@ -127,12 +102,8 @@ def run_e13(
     stashed in ``result.series`` metadata consumers (the ``corpus`` CLI
     ``--publish`` hook) can reuse without refitting.
     """
-    sizes = tuple(sizes) if sizes is not None else e13_sizes()
-    eval_size = (
-        int(os.environ.get("REPRO_E13_EVAL", DEFAULT_EVAL_SIZE))
-        if eval_size is None
-        else int(eval_size)
-    )
+    sizes = tuple(sizes) if sizes is not None else current().e13_sizes
+    eval_size = int(eval_size) if eval_size is not None else current().e13_eval
     res = ExperimentResult(
         "E13",
         "Learning curves on the synthetic kernel corpus "
@@ -147,7 +118,9 @@ def run_e13(
     ):
         spec = default if spec is None else spec
         eval_names = corpus_names(eval_size, seed=EVAL_SEED)
-        eval_res = measure_corpus(eval_names, _eval_spec(spec))
+        # Same measurement identity as training: only the kernel set
+        # (a different generator seed) separates eval from train.
+        eval_res = measure_corpus(eval_names, spec)
         if not eval_res.samples:
             raise RuntimeError(
                 f"E13 eval corpus produced no vectorized samples for "
@@ -273,11 +246,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="also write a machine-readable summary to FILE",
     )
     args = parser.parse_args(argv)
+    use(current().replace(workers=args.workers, serve_registry=args.registry))
 
     spec = {"arm": ARM_LLV, "x86": X86_SLP}[args.spec]
     names = corpus_kernel_names(args.size, seed=args.seed)
     t0 = time.perf_counter()
-    result = measure_corpus(names, spec, workers=args.workers)
+    result = measure_corpus(names, spec)
     sweep_s = time.perf_counter() - t0
     print(
         f"[corpus] {spec.label}: {len(names)} kernels -> "
@@ -303,9 +277,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         )
         summary["fit"] = row
         if args.publish:
-            from ..serve.registry import default_registry_dir
-
-            root = args.registry or default_registry_dir()
+            root = current().registry_dir
             entry = publish_corpus_model(
                 model, result.samples, spec, root
             )

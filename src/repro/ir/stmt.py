@@ -9,7 +9,7 @@ into masked vector code, and the shape TSVC's control-flow kernels use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .expr import Expr, Load, Subscript
 
@@ -104,26 +104,3 @@ def all_stores(body: tuple[Stmt, ...]) -> Iterator[ArrayStore]:
         if isinstance(s, ArrayStore):
             yield s
 
-
-def guard_of(body: tuple[Stmt, ...], target: Stmt) -> Optional[Expr]:
-    """The innermost guard condition of ``target`` inside ``body``.
-
-    Returns None when the statement executes unconditionally.  Nested
-    guards are not combined here — callers that need the full predicate
-    use the if-converter in the vectorizer, which builds conjunctions.
-    """
-    for s in body:
-        if s is target:
-            return None
-        if isinstance(s, IfBlock):
-            for sub, _polarity in (
-                *((t, True) for t in s.then_body),
-                *((t, False) for t in s.else_body),
-            ):
-                if sub is target:
-                    return s.cond
-                if isinstance(sub, IfBlock):
-                    inner = guard_of((sub,), target)
-                    if inner is not None:
-                        return inner
-    return None

@@ -18,9 +18,9 @@ only when the sweep needs a process it can kill or lose: a per-kernel
 deadline (``timeout``), or an active fault plan with more than one
 worker.  Workers receive kernel *names* and rebuild from the registry,
 so nothing unpicklable crosses the boundary.  The pool width resolves
-as: explicit argument > ``configure(workers=…)`` > ``REPRO_WORKERS``
-env > ``os.cpu_count()``, capped at the number of pending (uncached)
-kernels so no idle process is ever spawned.
+as: explicit argument > the ``workers`` setting > ``os.cpu_count()``,
+capped at the number of pending (uncached) kernels so no idle process
+is ever spawned.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -38,6 +37,7 @@ from ..analysis.framework.passmanager import default_manager
 from ..costmodel.base import Sample, sample_from_measurement
 from ..ir.verify import VerificationError, verify_kernel
 from ..memo import Identity, Memo
+from ..settings import current
 from ..sim.measure import measure_kernel
 from ..targets.registry import get_target
 from ..tsvc.suite import all_kernels, get_kernel
@@ -57,7 +57,6 @@ from .resilience import (
     FailureReport,
     RetryPolicy,
     SweepError,
-    default_checkpoint_dir,
     pipeline_diagnostics,
     run_supervised,
 )
@@ -66,115 +65,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..experiments.dataset import DatasetSpec
 
 
-@dataclass
-class PipelineConfig:
-    """Process-wide overrides, settable from the CLI (``--workers`` …)."""
-
-    workers: Optional[int] = None
-    cache_dir: Optional[str] = None
-    cache_enabled: Optional[bool] = None
-    timeout: Optional[float] = None
-    max_attempts: Optional[int] = None
-    checkpoint_dir: Optional[str] = None
-    resume: Optional[bool] = None
-
-
-_CONFIG = PipelineConfig()
-
-
-def configure(
-    workers: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    cache_enabled: Optional[bool] = None,
-    timeout: Optional[float] = None,
-    max_attempts: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: Optional[bool] = None,
-) -> PipelineConfig:
-    """Set process-wide pipeline defaults; ``None`` leaves a field alone."""
-    from .cache import set_default_cache
-
-    if workers is not None:
-        _CONFIG.workers = workers
-    if timeout is not None:
-        _CONFIG.timeout = timeout
-    if max_attempts is not None:
-        _CONFIG.max_attempts = max_attempts
-    if checkpoint_dir is not None:
-        _CONFIG.checkpoint_dir = checkpoint_dir
-    if resume is not None:
-        _CONFIG.resume = resume
-    if cache_dir is not None or cache_enabled is not None:
-        if cache_dir is not None:
-            _CONFIG.cache_dir = cache_dir
-        if cache_enabled is not None:
-            _CONFIG.cache_enabled = cache_enabled
-        cache = default_cache()
-        set_default_cache(
-            MeasurementCache(
-                root=_CONFIG.cache_dir or cache.root,
-                enabled=(
-                    _CONFIG.cache_enabled
-                    if _CONFIG.cache_enabled is not None
-                    else cache.enabled
-                ),
-            )
-        )
-    return _CONFIG
-
-
 def resolve_workers(
     explicit: Optional[int] = None, *, pending: Optional[int] = None
 ) -> int:
-    """Worker-count policy; always at least 1.
-
-    A malformed ``REPRO_WORKERS`` (non-integer or <= 0) raises a
-    ``ValueError`` naming the variable instead of surfacing as a
-    confusing failure deep in the pool build.  ``pending`` (when
-    given) caps the count at the number of kernels actually waiting,
-    so a 64-worker request over 3 cache misses spawns 3 processes.
+    """Pool width: explicit, else the ``workers`` setting, else the CPU
+    count; always at least 1.  ``pending`` (when given) caps the count
+    at the number of kernels actually waiting, so a 64-worker request
+    over 3 cache misses spawns 3 processes.
     """
-    workers: Optional[int] = None
-    for candidate in (explicit, _CONFIG.workers):
-        if candidate is not None:
-            workers = max(1, int(candidate))
-            break
-    if workers is None:
-        env = os.environ.get("REPRO_WORKERS")
-        if env is not None and env.strip():
-            try:
-                value = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_WORKERS must be a positive integer, got {env!r}"
-                ) from None
-            if value <= 0:
-                raise ValueError(
-                    f"REPRO_WORKERS must be a positive integer, got {env!r}"
-                )
-            workers = value
-        else:
-            workers = os.cpu_count() or 1
+    workers = explicit if explicit is not None else current().workers
+    workers = max(1, int(workers)) if workers is not None else os.cpu_count() or 1
     if pending is not None:
         workers = min(workers, max(1, pending))
     return workers
-
-
-def resolve_timeout(explicit: Optional[float] = None) -> Optional[float]:
-    """Per-kernel deadline: explicit > ``configure`` > ``REPRO_TIMEOUT``."""
-    for candidate in (explicit, _CONFIG.timeout):
-        if candidate is not None:
-            return float(candidate) if candidate > 0 else None
-    env = os.environ.get("REPRO_TIMEOUT")
-    if env is not None and env.strip():
-        try:
-            value = float(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_TIMEOUT must be a number of seconds, got {env!r}"
-            ) from None
-        return value if value > 0 else None
-    return None
 
 
 #: Kernel objects that passed verify + lint + range check, so the check
@@ -288,19 +191,18 @@ def measure_suite(
 
     Fault tolerance (see :mod:`.resilience`): each uncached kernel
     gets up to ``max_attempts`` tries (or a full ``retry`` policy) and,
-    with ``timeout`` set (``REPRO_TIMEOUT``), that many seconds per
-    attempt; a kernel that exhausts them is *quarantined*.  With
-    ``partial=True`` the sweep returns ``(samples, failures, report)``
-    — the surviving payloads plus the structured
-    :class:`FailureReport` — instead of raising :class:`SweepError`.
-    When a checkpoint directory is active (``checkpoint_dir`` /
-    ``configure(checkpoint_dir=…)`` / ``REPRO_CHECKPOINT_DIR``),
-    each completed payload lands in the sweep's checkpoint and
+    with ``timeout`` set, that many seconds per attempt; a kernel that
+    exhausts them is *quarantined*.  With ``partial=True`` the sweep
+    returns ``(samples, failures, report)`` — the surviving payloads
+    plus the structured :class:`FailureReport` — instead of raising
+    :class:`SweepError`.  When a checkpoint directory is active
+    (``checkpoint_dir``, else the ``checkpoint_dir`` setting), each
+    completed payload lands in the sweep's checkpoint and
     ``resume=True`` restores them, re-measuring only the kernels the
     interrupted sweep never finished (or whose entries fail
     verification).  ``faults`` injects deterministic chaos (a
     :class:`FaultPlan` or ``REPRO_FAULTS``-style string; default: the
-    environment's plan).
+    settings' plan).  Every ``None`` parameter takes its setting.
 
     The sweep runs serially in this process unless it needs a pool: a
     deadline always gets one (only a worker process can be killed
@@ -309,22 +211,21 @@ def measure_suite(
     worker processes).  ``workers`` sets that pool's width.
     """
     get_target(spec.target)  # validate the spec before any work
+    settings = current()
     if cache is None:
         cache = default_cache()
-    timeout = resolve_timeout(timeout)
+    if timeout is None:
+        timeout = settings.timeout
+    timeout = float(timeout) if timeout and timeout > 0 else None
     if retry is None:
-        if max_attempts is None:
-            max_attempts = _CONFIG.max_attempts
-        if max_attempts is None:
-            env = os.environ.get("REPRO_MAX_ATTEMPTS")
-            max_attempts = int(env) if env and env.strip() else 3
-        retry = RetryPolicy(max_attempts=max_attempts)
+        attempts = settings.max_attempts if max_attempts is None else max_attempts
+        retry = RetryPolicy(max_attempts=attempts)
     if isinstance(faults, str):
         faults = faultinject.parse_faults(faults)
     elif faults is None:
-        faults = faultinject.plan_from_env()
+        faults = settings.fault_plan
     if resume is None:
-        resume = bool(_CONFIG.resume)
+        resume = settings.resume
 
     kernels = list(all_kernels()) if kernels is None else list(kernels)
     if prepass is None or prepass:
@@ -428,9 +329,7 @@ def _resolve_checkpoint(
     per completed fingerprint.  ``<key>`` hashes the code digest and
     the spec, so no build ever opens a checkpoint another build wrote.
     """
-    directory = checkpoint_dir or _CONFIG.checkpoint_dir
-    if directory is None and os.environ.get("REPRO_CHECKPOINT_DIR"):
-        directory = default_checkpoint_dir()
+    directory = checkpoint_dir or current().checkpoint_dir
     if directory is None:
         return None
     parts = [

@@ -11,44 +11,26 @@ the sweep checkpoints keep their own stores beside it
 (``<root>/registry``, ``<root>/checkpoints``), which clearing the
 cache leaves alone.
 
-Configuration:
-
-* ``REPRO_CACHE_DIR`` — cache root (default ``~/.cache/repro-vec``,
-  honoring ``XDG_CACHE_HOME``);
-* ``REPRO_CACHE=off`` (or ``0``/``false``/``no``) — bypass entirely:
-  no reads, no writes, no stat counting.
+The root is the ``cache_dir`` setting; with the ``cache`` setting off
+(``--no-cache``) there are no reads, no writes and no stat counting.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 from pathlib import Path
 from typing import Optional
 
+from ..settings import current
 from ..store import MISS, Store
 from .fingerprint import PIPELINE_SCHEMA_VERSION
-
-_OFF_VALUES = {"off", "0", "false", "no"}
-
-
-def default_cache_dir() -> Path:
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env).expanduser()
-    base = Path(os.environ.get("XDG_CACHE_HOME") or "~/.cache").expanduser()
-    return base / "repro-vec"
-
-
-def cache_enabled_by_env() -> bool:
-    return os.environ.get("REPRO_CACHE", "").strip().lower() not in _OFF_VALUES
 
 
 class MeasurementCache:
     """On-disk cache of per-kernel measurement results."""
 
     def __init__(self, root=None, enabled: bool = True):
-        self.root = Path(root) if root is not None else default_cache_dir()
+        self.root = Path(root) if root is not None else current().cache_dir
         self.enabled = enabled
         self.store = Store(
             self.root / "measurements",
@@ -82,16 +64,9 @@ _DEFAULT: Optional[MeasurementCache] = None
 
 
 def default_cache() -> MeasurementCache:
-    """Process-wide cache honoring the ``REPRO_CACHE*`` environment."""
+    """Process-wide cache per the ``cache_dir`` and ``cache`` settings."""
     global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = MeasurementCache(
-            root=default_cache_dir(), enabled=cache_enabled_by_env()
-        )
+    want = (current().cache_dir, current().cache)
+    if _DEFAULT is None or (_DEFAULT.root, _DEFAULT.enabled) != want:
+        _DEFAULT = MeasurementCache(*want)
     return _DEFAULT
-
-
-def set_default_cache(cache: Optional[MeasurementCache]) -> None:
-    """Override (or with ``None``, reset) the process-wide cache."""
-    global _DEFAULT
-    _DEFAULT = cache

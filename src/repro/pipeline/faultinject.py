@@ -8,15 +8,12 @@ fires or it doesn't for a given seed, so chaos tests can assert that
 retries drain every injected failure and the surviving samples are
 *bit-identical* to a fault-free sweep.
 
-Configuration mirrors the rest of the pipeline:
-
-* ``REPRO_FAULTS=crash:0.1,hang:0.05,corrupt_cache:0.1,flaky_exc:0.1``
-  — per-fault firing rates in ``[0, 1]``; the advisor service's
-  request-scoped kinds (:data:`SERVE_FAULT_KINDS`) go in the same spec;
-* ``REPRO_FAULTS_SEED`` — plan seed (default 0);
-* ``REPRO_FAULTS_HANG_S`` — how long an injected hang or
-  ``slow_handler`` sleeps (default 30 s; set well above the
-  supervisor's ``--timeout`` or the service deadline).
+The default plan of every sweep, search and advisor pool is the
+settings' ``fault_plan`` (:mod:`repro.settings`): ``REPRO_FAULTS``
+(e.g. ``crash:0.1,hang:0.05,corrupt_cache:0.1,flaky_exc:0.1``, the
+advisor's :data:`SERVE_FAULT_KINDS` in the same spec),
+``REPRO_FAULTS_SEED`` and ``REPRO_FAULTS_HANG_S`` (how long a hang or
+``slow_handler`` sleeps; keep it well above any deadline).
 
 Faults that need a sacrificial process (``crash`` hard-exits, ``hang``
 sleeps) only fire inside pool workers (:func:`mark_worker` is the pool
@@ -171,16 +168,6 @@ def parse_faults(
     if not rates:
         return None
     return FaultPlan(rates=rates, seed=seed, hang_seconds=hang_seconds)
-
-
-def plan_from_env() -> Optional[FaultPlan]:
-    """The plan ``REPRO_FAULTS``/``REPRO_FAULTS_SEED`` describes, if any."""
-    spec = os.environ.get("REPRO_FAULTS", "")
-    if not spec.strip():
-        return None
-    seed = int(os.environ.get("REPRO_FAULTS_SEED", "0"))
-    hang = float(os.environ.get("REPRO_FAULTS_HANG_S", "30"))
-    return parse_faults(spec, seed=seed, hang_seconds=hang)
 
 
 def perturb(plan: Optional[FaultPlan], kernel: str, attempt: int) -> None:

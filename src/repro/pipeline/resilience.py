@@ -36,13 +36,11 @@ the property ``tests/test_resilience.py`` and the CI chaos job pin.
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional
 
 from ..analysis.framework.diagnostics import Diagnostics
@@ -168,20 +166,6 @@ _DIAG = Diagnostics()
 def pipeline_diagnostics() -> Diagnostics:
     """The engine supervision remarks are emitted into (process-wide)."""
     return _DIAG
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-# ---------------------------------------------------------------------------
-
-
-def default_checkpoint_dir() -> Path:
-    env = os.environ.get("REPRO_CHECKPOINT_DIR")
-    if env:
-        return Path(env).expanduser()
-    from .cache import default_cache_dir
-
-    return default_cache_dir() / "checkpoints"
 
 
 # ---------------------------------------------------------------------------

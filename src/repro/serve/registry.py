@@ -26,8 +26,9 @@ weight vector means — under one durability contract:
   (``/v1/reload`` or a registry mtime change) and swaps models between
   requests, never mid-request.
 
-Layout under the root (``REPRO_SERVE_REGISTRY`` or
-``<cache>/registry``), one store per model key::
+Layout under the root (the ``registry_dir`` setting:
+``REPRO_SERVE_REGISTRY`` or ``<cache>/registry``), one store per model
+key::
 
     <target>--<vectorizer>/
         entry-<version>.json         # weights + provenance + validation
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,6 +48,7 @@ import numpy as np
 
 from ..costmodel import matrix
 from ..costmodel.base import EPS, Sample
+from ..settings import current
 from ..store import MISS, Store
 
 #: Bump when the entry layout changes; foreign-schema entries are
@@ -56,11 +57,6 @@ REGISTRY_SCHEMA = 1
 
 #: Held-out rows embedded in each entry for the validation gate.
 VALIDATION_ROWS = 8
-
-#: Default RMSE bound for the validation gate (measured speedups live
-#: in (0, VF] ≈ (0, 8]; a healthy NNLS fit lands well under 1.0).
-DEFAULT_MAX_RMSE = 1.5
-
 
 class RegistryError(RuntimeError):
     """A registry operation failed (gate rejection, no valid entry, …)."""
@@ -251,8 +247,7 @@ def validate_entry(
     (a model poisoned by bad training data cannot ship).
     """
     if max_rmse is None:
-        env = os.environ.get("REPRO_SERVE_MAX_RMSE")
-        max_rmse = float(env) if env else DEFAULT_MAX_RMSE
+        max_rmse = current().serve_max_rmse
     reasons: list[str] = []
     w = np.asarray(entry.weights, dtype=np.float64)
     if w.size == 0 or not np.all(np.isfinite(w)):
@@ -294,15 +289,6 @@ def validate_entry(
     return reasons
 
 
-def default_registry_dir() -> Path:
-    env = os.environ.get("REPRO_SERVE_REGISTRY")
-    if env:
-        return Path(env).expanduser()
-    from ..pipeline.cache import default_cache_dir
-
-    return default_cache_dir() / "registry"
-
-
 @dataclass
 class RegistryStats:
     publishes: int = 0
@@ -331,7 +317,7 @@ class ModelRegistry:
     """
 
     def __init__(self, root=None):
-        self.root = Path(root) if root is not None else default_registry_dir()
+        self.root = Path(root) if root is not None else current().registry_dir
         self._lock = threading.RLock()
         #: model key → the entry requests are served from.
         self._active: dict[str, ModelEntry] = {}

@@ -28,6 +28,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlparse
 
+from ..settings import current, use
 from .advisor import Advisor
 from .workers import WorkerPool
 
@@ -287,10 +288,18 @@ def main(argv=None) -> int:
         "or 10)",
     )
     args = parser.parse_args(argv)
+    use(
+        current().replace(
+            serve_workers=args.workers,
+            serve_queue=args.queue,
+            serve_timeout=args.timeout,
+            serve_registry=args.registry,
+        )
+    )
 
     from .registry import ModelRegistry
 
-    registry = ModelRegistry(args.registry)
+    registry = ModelRegistry()
     if args.fit:
         from .chaos import bootstrap_registry, suite_payloads
 
@@ -308,14 +317,7 @@ def main(argv=None) -> int:
                 f"({len(selected)} kernels, {len(entry.weights)} weights)"
             )
 
-    srv = AdvisorServer(
-        Advisor(registry),
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_size=args.queue,
-        timeout=args.timeout,
-    )
+    srv = AdvisorServer(Advisor(registry), host=args.host, port=args.port)
     print(f"[serve] advisor listening on {srv.url} (Ctrl-C to stop)")
     srv.serve_forever()
     print("[serve] drained and stopped")

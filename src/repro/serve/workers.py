@@ -6,7 +6,7 @@ The pool is the service's load shedder and fault boundary:
   ``Retry-After`` hint *immediately* instead of letting latency
   collapse under overload;
 * **deadlines** — every request carries an absolute deadline
-  (``REPRO_SERVE_TIMEOUT`` seconds from admission); the dispatcher
+  (``serve_timeout`` seconds from admission); the dispatcher
   waits on the ticket only that long and answers 503 the instant it
   expires, so no caller ever outlives its deadline waiting on us;
 * **supervision** — Python threads cannot be killed, so a worker that
@@ -28,7 +28,6 @@ final verdict lands — that, plus deterministic advising, is what makes
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
@@ -39,8 +38,8 @@ from ..pipeline.faultinject import (
     SERVE_FAULT_KINDS,
     FaultPlan,
     InjectedWorkerCrash,
-    plan_from_env,
 )
+from ..settings import current
 from ..store import MISS
 from .advisor import Advisor, AdvisorError
 from .registry import CURRENT, entry_name
@@ -50,38 +49,6 @@ HANG_GRACE_S = 0.25
 
 #: How often the supervisor sweeps for dead/hung workers.
 SUPERVISOR_TICK_S = 0.05
-
-
-def _positive_env(name: str, parse, default):
-    """``name`` parsed by ``parse``, or ``default`` when unset or empty.
-
-    A value that does not parse or is not positive raises a
-    ``ValueError`` naming the variable, never a silent default.
-    """
-    env = os.environ.get(name, "").strip()
-    if not env:
-        return default
-    try:
-        value = parse(env)
-    except ValueError:
-        value = 0
-    if not value > 0:
-        raise ValueError(f"{name} must be a positive {parse.__name__}, got {env!r}")
-    return value
-
-
-def resolve_timeout() -> float:
-    return max(_positive_env("REPRO_SERVE_TIMEOUT", float, 10.0), 0.05)
-
-
-def resolve_queue_size() -> int:
-    return _positive_env("REPRO_SERVE_QUEUE", int, 64)
-
-
-def resolve_workers() -> int:
-    return _positive_env(
-        "REPRO_SERVE_WORKERS", int, min(4, max(2, (os.cpu_count() or 2)))
-    )
 
 
 @dataclass
@@ -161,19 +128,18 @@ class WorkerPool:
         hang_s: Optional[float] = None,
         clock=None,
     ):
+        settings = current()
         self.advisor = advisor
-        self.workers = workers if workers is not None else resolve_workers()
-        self.timeout = timeout if timeout is not None else resolve_timeout()
+        self.workers = workers if workers is not None else settings.serve_workers
+        self.timeout = max(settings.serve_timeout, 0.05) if timeout is None else timeout
         self.queue_size = (
-            queue_size if queue_size is not None else resolve_queue_size()
+            queue_size if queue_size is not None else settings.serve_queue
         )
         if fault_plan is None:
-            fault_plan = plan_from_env()
+            fault_plan = settings.fault_plan
         self.fault_plan = fault_plan
         if hang_s is None:
-            hang_s = (
-                fault_plan.hang_seconds if fault_plan is not None else 30.0
-            )
+            hang_s = fault_plan.hang_seconds if fault_plan else settings.faults_hang_s
         self.hang_s = hang_s
         self._clock = clock or time.monotonic
         self._queue: "queue.Queue[Optional[Ticket]]" = queue.Queue(

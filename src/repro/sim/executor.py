@@ -18,7 +18,6 @@ the same buffers and live-out scalars (up to float reassociation).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -43,6 +42,7 @@ from ..ir.expr import (
 from ..ir.kernel import LoopKernel
 from ..ir.stmt import ArrayStore, IfBlock, ScalarAssign
 from ..ir.types import DType
+from ..settings import current
 from ..vectorize.plan import VectorizationPlan
 from . import ufuncs
 from .ufuncs import BINOPS, CMPS, NP_DTYPE, UNOPS, cast_value
@@ -310,14 +310,15 @@ def run_vector(
     stores, lane-parallel reduction accumulators combined horizontally
     at the end, and a scalar tail for the remainder iterations.
 
-    ``sanitize=True`` (or ``REPRO_SANITIZE=1`` in the environment) runs
+    ``sanitize=True`` (default: the ``sanitize`` setting,
+    ``REPRO_SANITIZE=1``) runs
     the vector-safety sanitizer first: the plan's claimed dependence
     distances are cross-checked against the dynamically evaluated
     addresses and a :class:`~repro.analysis.framework.sanitizer.SanitizerError`
     is raised on any disagreement, before any buffer is mutated.
     """
     if sanitize is None:
-        sanitize = os.environ.get("REPRO_SANITIZE", "") == "1"
+        sanitize = current().sanitize
     if sanitize:
         from ..analysis.framework.sanitizer import check_plan
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.settings import Settings, current, use
 from repro.targets import ARMV8_NEON, GENERIC_IR, X86_AVX2
 from repro.tsvc import Dims
 
@@ -17,16 +18,22 @@ def _isolated_measurement_cache(tmp_path_factory):
     """Keep the suite's persistent measurement cache out of ~/.cache.
 
     Tests still exercise the cache layer (warm rebuilds within the
-    session), but against a throwaway directory.
+    session), but against a throwaway directory.  The variable is set
+    too, so CLI subprocesses inherit the same cache.
     """
     import os
 
-    from repro.pipeline import set_default_cache
-
     os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("measurement-cache"))
-    set_default_cache(None)
+    use(Settings.from_env(os.environ))
     yield
-    set_default_cache(None)
+
+
+@pytest.fixture(autouse=True)
+def _restore_settings():
+    """Undo whatever ``use(...)`` a test, or a CLI ``main`` it runs, made."""
+    saved = current()
+    yield
+    use(saved)
 
 
 @pytest.fixture

@@ -12,10 +12,11 @@ import pytest
 
 from repro.analysis.framework.passmanager import default_manager
 from repro.experiments import ARM_LLV
-from repro.experiments.corpus import corpus_kernel_names, e13_sizes
+from repro.experiments.corpus import corpus_kernel_names
 from repro.gen import KERNELS, corpus_names
 from repro.pipeline import MeasurementCache, measure_corpus, measure_suite
 from repro.pipeline.faultinject import _samples_equal
+from repro.settings import Settings, use
 from repro.tsvc import get_kernel, kernel_names
 
 
@@ -45,11 +46,11 @@ class TestCorpusNames:
         small, large = corpus_kernel_names(170), corpus_kernel_names(200)
         assert large[: len(small)] == small
 
-    def test_e13_sizes_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_E13_SIZES", "40, 20 30")
-        assert e13_sizes() == (20, 30, 40)
-        monkeypatch.setenv("REPRO_E13_SIZES", "")
-        assert len(e13_sizes()) >= 4  # the default learning curve
+    def test_e13_sizes_env_override(self):
+        env = Settings.from_env({"REPRO_E13_SIZES": "40, 20 30"})
+        assert env.e13_sizes == (20, 30, 40)
+        blank = Settings.from_env({"REPRO_E13_SIZES": ""})
+        assert len(blank.e13_sizes) >= 4  # the default learning curve
 
 
 @pytest.fixture
@@ -104,15 +105,12 @@ class TestPublish:
         """``corpus --publish`` and ``serve`` share one default registry."""
         import json
 
-        import repro.pipeline.cache as cache_mod
         from repro.experiments.corpus import main
         from repro.serve import ModelRegistry
 
-        # Keep the session's measurement cache as the process default.
-        monkeypatch.setattr(cache_mod, "_DEFAULT", cache_mod.default_cache())
-        for var in ("REPRO_SERVE_REGISTRY", "REPRO_CACHE_DIR"):
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        # No REPRO_SERVE_REGISTRY or REPRO_CACHE_DIR: both default under
+        # XDG_CACHE_HOME.
+        use(Settings.from_env({"XDG_CACHE_HOME": str(tmp_path / "xdg")}))
         monkeypatch.chdir(tmp_path)
         summary = tmp_path / "summary.json"
         assert main(["--size", "60", "--publish", "--json", str(summary)]) == 0

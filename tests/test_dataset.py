@@ -78,9 +78,11 @@ def test_duplicate_kernel_names_rejected():
         Dataset(ARM_LLV, samples=[ds.samples[0], ds.samples[0]])
 
 
-def test_workers_not_in_measurement_identity(monkeypatch):
+def test_workers_not_in_measurement_identity():
     """Any worker count returns the same memoized dataset object."""
+    from repro.settings import current, use
+
     ds = build_dataset(ARM_LLV)
-    monkeypatch.setenv("REPRO_WORKERS", "2")
+    use(current().replace(workers=2))
     assert build_dataset(DatasetSpec("armv8-neon", "llv")) is ds
     assert ARM_LLV.identity == ("armv8-neon", "llv", 0.02, 0)

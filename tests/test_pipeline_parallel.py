@@ -15,6 +15,7 @@ from repro.pipeline import (
     measure_suite,
     resolve_workers,
 )
+from repro.settings import Settings, current, use
 from repro.tsvc import get_kernel, kernel_names
 
 SPEC = DatasetSpec("armv8-neon", "llv")
@@ -78,8 +79,8 @@ def _record_pools(monkeypatch) -> list:
         raise OSError("process pools are recorded, not started, here")
 
     monkeypatch.setattr(resilience_mod, "ProcessPoolExecutor", refuse)
-    for var in ("REPRO_TIMEOUT", "REPRO_FAULTS", "REPRO_WORKERS"):
-        monkeypatch.delenv(var, raising=False)
+    # No deadline, fault plan or worker count from the settings.
+    use(Settings(cache_dir=current().cache_dir))
     return built
 
 
@@ -161,26 +162,16 @@ def test_results_ordered_by_suite_registration(tmp_path):
     assert len(samples) + len(failures) == len(order)
 
 
-def test_resolve_workers_env(monkeypatch):
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+def test_resolve_workers_env():
+    use(Settings(cache_dir=current().cache_dir))
     assert resolve_workers(4) == 4
     assert resolve_workers(0) == 1  # floor at serial
-    monkeypatch.setenv("REPRO_WORKERS", "3")
+    use(Settings.from_env({**os.environ, "REPRO_WORKERS": "3"}))
     assert resolve_workers() == 3
     assert resolve_workers(2) == 2  # explicit beats env
 
 
-@pytest.mark.parametrize("bad", ["not-a-number", "0", "-2", "2.5"])
-def test_resolve_workers_invalid_env_raises(monkeypatch, bad):
-    monkeypatch.setenv("REPRO_WORKERS", bad)
-    with pytest.raises(ValueError, match="REPRO_WORKERS"):
-        resolve_workers()
-    # An explicit count never consults the env var.
-    assert resolve_workers(2) == 2
-
-
-def test_workers_capped_at_pending_kernels(monkeypatch):
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+def test_workers_capped_at_pending_kernels():
     assert resolve_workers(16, pending=3) == 3
     assert resolve_workers(2, pending=100) == 2
     assert resolve_workers(16, pending=0) == 1

@@ -422,13 +422,11 @@ def test_dataset_carries_quarantine_report():
     assert quarantine_summary(FailureReport()) == "none"
 
 
-def test_env_faults_spec_parsing(monkeypatch):
-    from repro.pipeline import plan_from_env
+def test_env_faults_spec_parsing():
+    from repro.settings import Settings
 
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    assert plan_from_env() is None
-    monkeypatch.setenv("REPRO_FAULTS", "flaky_exc:0.25")
-    monkeypatch.setenv("REPRO_FAULTS_SEED", "9")
-    plan = plan_from_env()
+    assert Settings.from_env({}).fault_plan is None
+    env = {"REPRO_FAULTS": "flaky_exc:0.25", "REPRO_FAULTS_SEED": "9"}
+    plan = Settings.from_env(env).fault_plan
     assert plan.rate("flaky_exc") == 0.25
     assert plan.seed == 9

@@ -109,14 +109,18 @@ class TestExecutorIntegration:
         for name, arr in bufs.items():
             assert (arr == baseline[name]).all(), "buffers must be untouched"
 
-    def test_env_var_opt_in(self, monkeypatch):
+    def test_env_var_opt_in(self):
+        import os
+
+        from repro.settings import Settings, use
+
         kern = forward_dep_kernel()
         plan = plan_of(kern)
         forged_plan = dataclasses.replace(
             plan, dep_info=forge_distance(plan.dep_info)
         )
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        use(Settings.from_env({**os.environ, "REPRO_SANITIZE": "1"}))
         with pytest.raises(SanitizerError):
             run_vector(forged_plan, make_buffers(kern))
-        monkeypatch.setenv("REPRO_SANITIZE", "0")
+        use(Settings.from_env({**os.environ, "REPRO_SANITIZE": "0"}))
         run_vector(forged_plan, make_buffers(kern))  # opt-out: no check

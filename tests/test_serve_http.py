@@ -1,6 +1,7 @@
 """HTTP service + worker pool: probes, batches, backpressure, deadlines."""
 
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -10,12 +11,8 @@ import pytest
 
 from repro.pipeline.faultinject import FaultPlan
 from repro.serve import Advisor, AdvisorServer, ModelRegistry, WorkerPool
-from repro.serve.workers import (
-    Ticket,
-    resolve_queue_size,
-    resolve_timeout,
-    resolve_workers,
-)
+from repro.serve.workers import Ticket
+from repro.settings import Settings, use
 
 SAXPY = """
 kernel saxpy {
@@ -238,41 +235,26 @@ def test_pool_answers_within_deadline_under_hang(tmp_path):
         pool.stop(drain=False, timeout=0.5)
 
 
-@pytest.mark.parametrize(
-    ("var", "resolve", "bad"),
-    [
-        ("REPRO_SERVE_TIMEOUT", resolve_timeout, "5s"),
-        ("REPRO_SERVE_TIMEOUT", resolve_timeout, "-1"),
-        ("REPRO_SERVE_QUEUE", resolve_queue_size, "lots"),
-        ("REPRO_SERVE_QUEUE", resolve_queue_size, "2.5"),
-        ("REPRO_SERVE_QUEUE", resolve_queue_size, "0"),
-        ("REPRO_SERVE_WORKERS", resolve_workers, "four"),
-        ("REPRO_SERVE_WORKERS", resolve_workers, "-2"),
-    ],
-)
-def test_serve_knobs_invalid_env_raises(monkeypatch, var, resolve, bad):
-    monkeypatch.setenv(var, bad)
-    with pytest.raises(ValueError, match=var):
-        resolve()
+def test_serve_knobs_env(tmp_path):
+    defaults = Settings.from_env({})
+    assert defaults.serve_timeout == 10.0
+    assert defaults.serve_queue == 64
+    assert 2 <= defaults.serve_workers <= 4
+    env = {
+        "REPRO_SERVE_TIMEOUT": "2.5",
+        "REPRO_SERVE_QUEUE": "8",
+        "REPRO_SERVE_WORKERS": "3",
+    }
+    use(Settings.from_env({**os.environ, **env}))
+    pool = WorkerPool(Advisor(ModelRegistry(tmp_path / "registry")))
+    assert (pool.timeout, pool.queue_size, pool.workers) == (2.5, 8, 3)
 
 
-def test_serve_knobs_env(monkeypatch):
-    for var in ("REPRO_SERVE_TIMEOUT", "REPRO_SERVE_QUEUE", "REPRO_SERVE_WORKERS"):
-        monkeypatch.delenv(var, raising=False)
-    assert resolve_timeout() == 10.0
-    assert resolve_queue_size() == 64
-    assert 2 <= resolve_workers() <= 4
-    monkeypatch.setenv("REPRO_SERVE_TIMEOUT", "2.5")
-    monkeypatch.setenv("REPRO_SERVE_QUEUE", "8")
-    monkeypatch.setenv("REPRO_SERVE_WORKERS", "3")
-    assert (resolve_timeout(), resolve_queue_size(), resolve_workers()) == (2.5, 8, 3)
-
-
-def test_pool_reads_fault_plan_env_and_draws_only_serve_kinds(tmp_path, monkeypatch):
+def test_pool_reads_fault_plan_env_and_draws_only_serve_kinds(tmp_path):
     """One ``REPRO_FAULTS`` plan feeds sweeps and the pool; the pool
     fires only the request-scoped kinds."""
-    monkeypatch.setenv("REPRO_FAULTS", "crash:1.0,worker_crash:1.0")
-    monkeypatch.setenv("REPRO_FAULTS_HANG_S", "7")
+    env = {"REPRO_FAULTS": "crash:1.0,worker_crash:1.0", "REPRO_FAULTS_HANG_S": "7"}
+    use(Settings.from_env({**os.environ, **env}))
     pool = WorkerPool(Advisor(ModelRegistry(tmp_path / "registry")), workers=1)
     assert pool.fault_plan.rates == {"crash": 1.0, "worker_crash": 1.0}
     assert pool.hang_s == 7.0
