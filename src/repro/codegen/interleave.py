@@ -32,17 +32,22 @@ point can be interleaved identically:
 ``iters`` must be divisible by ``ic`` (the enumeration in
 :mod:`repro.vectorize.plan` guarantees it), so the transform is exact:
 no interleave remainder is ever silently dropped.
+
+Scoring needs only the interleaved stream's class counts, and those
+follow from the base stream alone: :func:`interleaved_counts` sums
+``ic`` copies of the base body, prologue and epilogue in the order
+:meth:`~repro.codegen.minstr.MStream.counts` would, so the cost oracle
+never builds the streams it only counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from .minstr import MInstr, MStream
+from ..targets.classes import IClass
+from .minstr import MInstr, MStream, class_counts
 
 
 def _remap_edges(ins: MInstr, c: int, ic: int, stride: int) -> MInstr:
-    """Edges of copy ``c`` of ``ins`` (ids already offset by c*stride)."""
+    """Copy ``c`` of ``ins``: ids offset by ``c * stride``, edges remapped."""
     srcs = tuple(s + c * stride for s in ins.srcs)
     extra_srcs: list[int] = []
     carried: list[tuple[int, int]] = []
@@ -57,15 +62,46 @@ def _remap_edges(ins: MInstr, c: int, ic: int, stride: int) -> MInstr:
             extra_srcs.append(producer + src_copy * stride)
         else:
             carried.append((producer + src_copy * stride, -q))
-    return replace(
-        ins,
-        id=ins.id + c * stride,
-        srcs=srcs + tuple(extra_srcs),
-        carried=tuple(carried),
-        mem_stride=(
-            ins.mem_stride * ic if ins.mem_stride not in (None, 0) else ins.mem_stride
-        ),
+    return MInstr(
+        ins.id + c * stride,
+        ins.iclass,
+        ins.dtype,
+        ins.lanes,
+        srcs + tuple(extra_srcs),
+        tuple(carried),
+        ins.weight,
+        ins.traffic,
+        ins.note,
+        ins.mem_array,
+        ins.mem_stride * ic if ins.mem_stride not in (None, 0) else ins.mem_stride,
     )
+
+
+def _copy(ins: MInstr, offset: int) -> MInstr:
+    """``ins`` with its id moved by ``offset`` (prologue/epilogue copies)."""
+    return MInstr(
+        ins.id + offset,
+        ins.iclass,
+        ins.dtype,
+        ins.lanes,
+        ins.srcs,
+        ins.carried,
+        ins.weight,
+        ins.traffic,
+        ins.note,
+        ins.mem_array,
+        ins.mem_stride,
+    )
+
+
+def _check_interleave(stream: MStream, ic: int) -> None:
+    if ic < 1:
+        raise ValueError(f"interleave count must be >= 1, got {ic}")
+    if stream.iters % ic:
+        raise ValueError(
+            f"interleave {ic} does not divide {stream.iters} iterations "
+            f"of {stream.name!r}"
+        )
 
 
 def interleave_stream(stream: MStream, ic: int) -> MStream:
@@ -74,15 +110,9 @@ def interleave_stream(stream: MStream, ic: int) -> MStream:
     Returns a new stream retiring ``ic * elems_per_iter`` elements per
     iteration over ``iters // ic`` iterations; the input is untouched.
     """
-    if ic < 1:
-        raise ValueError(f"interleave count must be >= 1, got {ic}")
+    _check_interleave(stream, ic)
     if ic == 1:
         return stream
-    if stream.iters % ic:
-        raise ValueError(
-            f"interleave {ic} does not divide {stream.iters} iterations "
-            f"of {stream.name!r}"
-        )
     stride = max((i.id for i in stream.all_instrs()), default=-1) + 1
     out = MStream(
         name=f"{stream.name}.ic{ic}",
@@ -93,10 +123,22 @@ def interleave_stream(stream: MStream, ic: int) -> MStream:
     )
     for c in range(ic):
         out.body.extend(_remap_edges(ins, c, ic, stride) for ins in stream.body)
-        out.prologue.extend(
-            replace(ins, id=ins.id + c * stride) for ins in stream.prologue
-        )
-        out.epilogue.extend(
-            replace(ins, id=ins.id + c * stride) for ins in stream.epilogue
-        )
+        out.prologue.extend(_copy(ins, c * stride) for ins in stream.prologue)
+        out.epilogue.extend(_copy(ins, c * stride) for ins in stream.epilogue)
     return out
+
+
+def interleaved_counts(stream: MStream, ic: int) -> dict[IClass, float]:
+    """``interleave_stream(stream, ic).counts()``, without the stream.
+
+    Same sums in the same order — ``ic`` body copies, then ``ic``
+    prologue copies, then ``ic`` epilogue copies, the overhead over
+    ``iters // ic`` — and the same ``ValueError`` when ``ic`` does not
+    divide the stream's iterations.
+    """
+    _check_interleave(stream, ic)
+    return class_counts(
+        stream.body * ic,
+        stream.prologue * ic + stream.epilogue * ic,
+        stream.iters // ic,
+    )

@@ -104,13 +104,8 @@ class MStream:
         way the paper's block equations count one-off reduction and
         broadcast costs).
         """
-        out: dict[IClass, float] = {}
-        for ins in self.body:
-            out[ins.iclass] = out.get(ins.iclass, 0.0) + ins.weight
-        if include_overhead and self.iters > 0:
-            for ins in (*self.prologue, *self.epilogue):
-                out[ins.iclass] = out.get(ins.iclass, 0.0) + ins.weight / self.iters
-        return out
+        overhead = (*self.prologue, *self.epilogue) if include_overhead else ()
+        return class_counts(self.body, overhead, self.iters)
 
     def bytes_per_iter(self) -> float:
         """Expected memory traffic of one body iteration.
@@ -158,6 +153,24 @@ class MStream:
                 lines.append(f"  {label}:")
                 lines.extend(f"    {ins}" for ins in seq)
         return "\n".join(lines)
+
+
+def class_counts(
+    body: Iterable[MInstr], overhead: Iterable[MInstr], iters: int
+) -> dict[IClass, float]:
+    """Weighted counts per class: ``body`` whole, ``overhead`` over ``iters``.
+
+    Sums in the order given — the one arithmetic behind
+    :meth:`MStream.counts` and the count-only interleave in
+    :func:`repro.codegen.interleave.interleaved_counts`.
+    """
+    out: dict[IClass, float] = {}
+    for ins in body:
+        out[ins.iclass] = out.get(ins.iclass, 0.0) + ins.weight
+    if iters > 0:
+        for ins in overhead:
+            out[ins.iclass] = out.get(ins.iclass, 0.0) + ins.weight / iters
+    return out
 
 
 class StreamBuilder:

@@ -21,7 +21,11 @@ N_FEATURES = len(FEATURE_ORDER)
 
 def feature_vector(stream: MStream, include_overhead: bool = True) -> np.ndarray:
     """Per-iteration weighted class counts of ``stream``."""
-    counts = stream.counts(include_overhead=include_overhead)
+    return counts_vector(stream.counts(include_overhead=include_overhead))
+
+
+def counts_vector(counts: dict[IClass, float]) -> np.ndarray:
+    """Class counts (as :meth:`MStream.counts` gives them) as a feature row."""
     return np.array(
         [counts.get(c, 0.0) for c in FEATURE_ORDER], dtype=np.float64
     )

@@ -75,15 +75,17 @@ def _search_once(
     seed: int,
     budget: int,
     manager,
+    space: Optional[points_mod.PlanSpace],
 ) -> search.SearchResult:
     """One search: score first, then measure only what the driver reads.
 
-    Scoring and measurement share one :class:`~repro.dse.points.PlanSpace`,
-    so each recipe is vectorized once and lowered at most once per
-    target.
+    Scoring and measurement share one :class:`~repro.dse.points.PlanSpace`
+    (the caller's, else a new one), so each recipe is vectorized once
+    and lowered at most once per target.
     """
     points = enumerate_plan_points(kernel, target, manager=manager)
-    space = points_mod.PlanSpace(kernel, target)
+    if space is None:
+        space = points_mod.PlanSpace(kernel, target)
 
     def measure(indices: list[int]) -> list[float]:
         measured = points_mod.measure_points(
@@ -124,8 +126,16 @@ def search_kernel(
     budget: int = 0,
     manager=None,
     faults: Optional[FaultPlan] = None,
+    space: Optional[points_mod.PlanSpace] = None,
 ) -> search.SearchResult:
-    """Search one kernel's plan space, memoized and chaos-hardened."""
+    """Search one kernel's plan space, memoized and chaos-hardened.
+
+    ``space`` is a :class:`~repro.dse.points.PlanSpace` of ``kernel``
+    on ``target`` (guard seed 0) to build the plans in, so that several
+    searches of one kernel, and whoever measures its points next, share
+    each recipe's plan and streams.  It changes no result, so it is not
+    part of the memo key.
+    """
     if driver not in search.DRIVERS:
         raise ValueError(
             f"unknown driver {driver!r}; expected one of {', '.join(search.DRIVERS)}"
@@ -147,7 +157,7 @@ def search_kernel(
             try:
                 faultinject.perturb(plan, f"dse:{kernel.name}", attempt)
                 return _search_once(
-                    kernel, target, model, driver, seed, budget, manager
+                    kernel, target, model, driver, seed, budget, manager, space
                 )
             except InjectedFault as exc:
                 last = exc

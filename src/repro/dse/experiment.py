@@ -43,7 +43,7 @@ from ..targets.registry import get_target
 from ..tsvc.suite import all_kernels
 from .engine import search_kernel
 from .oracle import default_index
-from .points import measure_points
+from .points import PlanSpace, measure_points
 
 #: Drivers compared per kernel; "exhaustive" is the pure-model arm,
 #: "verified" the deployable model-pruned/measured one.
@@ -59,13 +59,18 @@ def _geomean(values: Sequence[float]) -> float:
 
 
 def _evaluate_kernel(kernel, target, model, seed: int) -> dict:
-    """One kernel's regret cell: every driver vs measured ground truth."""
+    """One kernel's regret cell: every driver vs measured ground truth.
+
+    The drivers and the measure-everything pass share one plan space,
+    so each recipe is vectorized once per kernel.
+    """
+    space = PlanSpace(kernel, target)
     results = {
-        d: search_kernel(kernel, target, model, driver=d, seed=seed)
+        d: search_kernel(kernel, target, model, driver=d, seed=seed, space=space)
         for d in E14_DRIVERS
     }
     points = results["exhaustive"].points
-    meas = measure_points(kernel, target, points)
+    meas = measure_points(kernel, target, points, space=space)
     measured = [m.speedup if m.ok else 0.0 for m in meas]
     d_idx = default_index(points)
     oracle_idx = d_idx

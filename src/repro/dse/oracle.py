@@ -14,7 +14,10 @@ Scalar points are pinned to exactly 1.0 outside the batch (their
 speedup is 1.0 by definition, not a prediction); points that fail to
 materialize score 0.0 so they can never win.  The scalar lowering and
 each recipe's ``GENERIC_IR`` stream come from the search's
-:class:`~repro.dse.points.PlanSpace`, which measurement reads too.
+:class:`~repro.dse.points.PlanSpace`, which measurement reads too.  An
+interleaved point's features are its base stream's class counts summed
+over ``ic`` copies (:meth:`~repro.dse.points.PlanSpace.counts`): the
+oracle never builds an interleaved stream.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..costmodel.base import Sample
-from ..costmodel.featurize import feature_vector
+from ..costmodel.featurize import counts_vector, feature_vector
 from ..ir.kernel import LoopKernel
 from ..targets.base import Target
 from ..targets.generic_ir import GENERIC_IR
@@ -60,7 +63,7 @@ def candidate_samples(
         if not is_plan(space.plan(point)):
             continue
         try:
-            ir_stream = space.stream(point, GENERIC_IR)
+            ir_counts = space.counts(point, GENERIC_IR)
         except ValueError:
             continue
         # Normalize the block mix *per original element*: an
@@ -82,7 +85,7 @@ def candidate_samples(
                 target=target.name,
                 vf=point.vf,
                 scalar_features=scalar_features,
-                vector_features=feature_vector(ir_stream) * scale,
+                vector_features=counts_vector(ir_counts) * scale,
                 measured_speedup=0.0,
                 measured_scalar_cpi=0.0,
                 measured_vector_cpi=0.0,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from ..codegen.interleave import interleave_stream
+from ..codegen.interleave import interleave_stream, interleaved_counts
 from ..codegen.minstr import MStream
 from ..codegen.scalar_gen import lower_scalar
 from ..codegen.slp_gen import lower_slp
@@ -35,6 +35,7 @@ from ..ir.kernel import LoopKernel
 from ..sim.measure import estimate_guard_probs
 from ..sim.timing import CycleBreakdown, analyze_stream
 from ..targets.base import Target
+from ..targets.classes import IClass
 from ..vectorize.llv import vectorize_loop
 from ..vectorize.plan import (
     PlanPoint,
@@ -147,13 +148,8 @@ class PlanSpace:
             )
         return self._plans[key]
 
-    def stream(self, point: PlanPoint, lowering: Target) -> MStream:
-        """The vector point's stream lowered for ``lowering``.
-
-        The point must materialize (``is_plan(self.plan(point))``).
-        Raises ``ValueError`` when the recipe does not lower or the
-        interleave count does not divide the stream's iterations.
-        """
+    def _base_stream(self, point: PlanPoint, lowering: Target) -> MStream:
+        """The recipe's stream before interleaving, lowered once."""
         key = (point.strategy, point.vf, point.unroll, lowering.name)
         base = self._streams.get(key)
         if base is None:
@@ -169,7 +165,24 @@ class PlanSpace:
             self._streams[key] = base
         if isinstance(base, ValueError):
             raise base
-        return interleave_stream(base, point.interleave)
+        return base
+
+    def stream(self, point: PlanPoint, lowering: Target) -> MStream:
+        """The vector point's stream lowered for ``lowering``.
+
+        The point must materialize (``is_plan(self.plan(point))``).
+        Raises ``ValueError`` when the recipe does not lower or the
+        interleave count does not divide the stream's iterations.
+        """
+        return interleave_stream(self._base_stream(point, lowering), point.interleave)
+
+    def counts(self, point: PlanPoint, lowering: Target) -> dict[IClass, float]:
+        """``self.stream(point, lowering).counts()``, computed from the
+        base stream without building the interleaved one; raises the
+        same ``ValueError``."""
+        return interleaved_counts(
+            self._base_stream(point, lowering), point.interleave
+        )
 
 
 def measure_points(

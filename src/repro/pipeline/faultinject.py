@@ -289,6 +289,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     # Imported lazily: build imports resilience imports this module.
     from ..experiments.dataset import ARM_LLV, X86_SLP
+    from ..settings import current, use
     from .build import measure_suite
     from .cache import MeasurementCache
     from .resilience import RetryPolicy
@@ -297,7 +298,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     timeout = args.timeout
     if timeout is None and plan is not None and plan.rate("hang") > 0:
         timeout = 5.0
-    policy = RetryPolicy(max_attempts=args.max_attempts, base_delay=0.01)
+    # The pool flags pass the settings' checks (``--workers 0`` is an
+    # error, not an in-process sweep); the faulted sweeps read them back.
+    settings = current().replace(
+        workers=args.workers, timeout=timeout, max_attempts=args.max_attempts
+    )
+    use(settings)
+    policy = RetryPolicy(max_attempts=settings.max_attempts, base_delay=0.01)
     specs = {
         "arm": (ARM_LLV,),
         "x86": (X86_SLP,),
@@ -311,7 +318,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     def leg(title: str, sweep, tmp: str) -> bool:
         """One chaos leg; ``sweep(cache, faulted)`` returns
         ``(samples, failures, report)``.  Clean sweeps pass an empty
-        plan so REPRO_FAULTS cannot reach them."""
+        plan so REPRO_FAULTS cannot reach them, and no deadline, so they
+        run in this process."""
         nonlocal evicted
         clean, clean_fail, _ = sweep(no_cache, False)
         # A torn entry needs a file to tear: one fresh cache per leg.
@@ -345,13 +353,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     def options(faulted: bool) -> dict:
         if not faulted:
-            return {"faults": FaultPlan()}
-        return {
-            "workers": args.workers,
-            "timeout": timeout,
-            "retry": policy,
-            "faults": plan,
-        }
+            return {"faults": FaultPlan(), "timeout": 0}
+        return {"retry": policy, "faults": plan}
 
     failures = 0
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:

@@ -39,6 +39,7 @@ from ..fitting.nnls import NonNegativeLeastSquares
 from ..ir.printer import kernel_to_source
 from ..pipeline.faultinject import FaultPlan, parse_faults
 from ..pipeline.resilience import RetryPolicy
+from ..settings import current, use
 from ..sim.measure import measure_kernel
 from ..targets.registry import get_target
 from ..tsvc import get_kernel, kernel_names
@@ -319,6 +320,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument("--json", default=None, help="write the report here")
     args = parser.parse_args(argv)
+    # The pool flags pass the settings' checks: ``--workers 0`` is an
+    # error, not a pool with no worker thread.
+    settings = current().replace(
+        serve_workers=args.workers, serve_timeout=args.timeout
+    )
+    use(settings)
 
     report = run_gate(
         kernels=args.kernels,
@@ -326,8 +333,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         vectorizer=args.vectorizer,
         faults=args.faults,
         seed=args.seed,
-        timeout=args.timeout,
-        workers=args.workers,
+        timeout=settings.serve_timeout,
+        workers=settings.serve_workers,
         registry_root=args.registry,
     )
     text = json.dumps(report, indent=2)

@@ -129,12 +129,17 @@ class WorkerPool:
         clock=None,
     ):
         settings = current()
-        self.advisor = advisor
-        self.workers = workers if workers is not None else settings.serve_workers
-        self.timeout = max(settings.serve_timeout, 0.05) if timeout is None else timeout
-        self.queue_size = (
-            queue_size if queue_size is not None else settings.serve_queue
+        # Explicit sizes pass the settings' checks: no pool without a
+        # worker thread, no unbounded queue, no zero deadline.
+        checked = settings.replace(
+            serve_workers=workers, serve_queue=queue_size, serve_timeout=timeout
         )
+        self.advisor = advisor
+        self.workers = checked.serve_workers
+        self.timeout = (
+            max(settings.serve_timeout, 0.05) if timeout is None else checked.serve_timeout
+        )
+        self.queue_size = checked.serve_queue
         if fault_plan is None:
             fault_plan = settings.fault_plan
         self.fault_plan = fault_plan

@@ -40,7 +40,7 @@ from ..ir.expr import (
     UnOp,
 )
 from ..ir.kernel import LoopKernel
-from ..ir.stmt import ArrayStore, IfBlock, ScalarAssign
+from ..ir.stmt import ArrayStore, IfBlock, ScalarAssign, walk_stmts
 from ..ir.types import DType
 from ..settings import current
 from ..vectorize.plan import VectorizationPlan
@@ -156,29 +156,48 @@ def _cast(x, dtype: DType):
 
 
 class _GuardStats:
-    def __init__(self):
+    """Taken/seen counts per guard, numbered in static pre-order.
+
+    Guard ``n`` is the n-th ``IfBlock`` of ``walk_stmts(body)`` — the
+    numbering the lowerers read ``guard_probs`` by — whichever guard
+    happens to execute first.
+    """
+
+    def __init__(self, body):
         self.taken: dict[int, int] = {}
         self.seen: dict[int, int] = {}
         self._order: dict[int, int] = {}  # id(stmt) -> pre-order index
-        self._next = 0
+        guards = (s for s in walk_stmts(body) if isinstance(s, IfBlock))
+        for n, stmt in enumerate(guards):
+            self._order.setdefault(id(stmt), n)
 
     def index_of(self, stmt: IfBlock) -> int:
-        key = id(stmt)
-        if key not in self._order:
-            self._order[key] = self._next
-            self._next += 1
-        return self._order[key]
+        return self._order[id(stmt)]
 
-    def record(self, idx: int, taken: bool) -> None:
-        self.seen[idx] = self.seen.get(idx, 0) + 1
-        self.taken[idx] = self.taken.get(idx, 0) + (1 if taken else 0)
+    def record(self, idx: int, taken: int, seen: int = 1) -> None:
+        self.seen[idx] = self.seen.get(idx, 0) + seen
+        self.taken[idx] = self.taken.get(idx, 0) + taken
 
     def probs(self) -> dict[int, float]:
-        return {
-            idx: self.taken.get(idx, 0) / n
-            for idx, n in self.seen.items()
-            if n > 0
-        }
+        return {idx: self.taken[idx] / self.seen[idx] for idx in sorted(self.seen)}
+
+
+def truncated_trips(
+    kernel: LoopKernel, max_inner_iters: Optional[int]
+) -> tuple[int, int]:
+    """``(outer, inner)`` trips of a run truncated to ``max_inner_iters``.
+
+    The inner loop keeps ``min(trip, max_inner_iters)`` iterations and a
+    depth-2 kernel's outer loop ``min(trip, max_inner_iters // 4)``: a
+    512-iteration sample is 512 × 128 = 65,536 iterations at most.
+    """
+    inner_trip = kernel.inner.trip
+    outer_trip = 1 if kernel.depth == 1 else kernel.loops[0].trip
+    if max_inner_iters is not None:
+        inner_trip = min(inner_trip, max_inner_iters)
+        if kernel.depth > 1:
+            outer_trip = min(outer_trip, max(1, max_inner_iters // 4))
+    return outer_trip, inner_trip
 
 
 def run_scalar(
@@ -222,13 +241,8 @@ def run_scalar_interpreted(
     and the semantic ground truth of the whole system.
     """
     env = dict(scalars) if scalars is not None else initial_scalars(kernel)
-    stats = _GuardStats()
-    inner_trip = kernel.inner.trip
-    if max_inner_iters is not None:
-        inner_trip = min(inner_trip, max_inner_iters)
-    outer_trip = 1 if kernel.depth == 1 else kernel.loops[0].trip
-    if kernel.depth > 1 and max_inner_iters is not None:
-        outer_trip = min(outer_trip, max(1, max_inner_iters // 4))
+    stats = _GuardStats(kernel.body)
+    outer_trip, inner_trip = truncated_trips(kernel, max_inner_iters)
     total = 0
     with np.errstate(all="ignore"):
         for outer in range(outer_trip):
@@ -251,13 +265,96 @@ def _exec_stmts_scalar(kernel, stmts, ctx: _Ctx, stats: _GuardStats) -> None:
             decl = kernel.scalars[stmt.name]
             ctx.scalars[stmt.name] = _cast(eval_expr(stmt.value, ctx), decl.dtype)
         elif isinstance(stmt, IfBlock):
-            idx = stats.index_of(stmt)
             taken = bool(eval_expr(stmt.cond, ctx))
-            stats.record(idx, taken)
+            stats.record(stats.index_of(stmt), int(taken))
             body = stmt.then_body if taken else stmt.else_body
             _exec_stmts_scalar(kernel, body, ctx, stats)
         else:
             raise TypeError(f"cannot execute {type(stmt).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# Guard counts over the iteration grid
+# ---------------------------------------------------------------------------
+
+
+def guards_read_inputs_only(kernel: LoopKernel) -> bool:
+    """True when no guard reads data the loop writes.
+
+    That is: no guard condition loads an array the loop stores to (as
+    the loaded array or as an ``Indirect`` index array), and none reads
+    a scalar the loop assigns.  Every guard then sees the kernel's
+    initial data on every iteration, whatever the body does.
+    """
+    written = kernel.arrays_written()
+    assigned = kernel.assigned_scalars()
+    for stmt in kernel.stmts():
+        if not isinstance(stmt, IfBlock):
+            continue
+        for node in stmt.cond.walk():
+            if isinstance(node, ScalarRef) and node.name in assigned:
+                return False
+            if isinstance(node, Load):
+                if node.array in written:
+                    return False
+                if any(_indirect_arrays(ix) & written for ix in node.subscript):
+                    return False
+    return True
+
+
+def _indirect_arrays(ix) -> set[str]:
+    names: set[str] = set()
+    while isinstance(ix, Indirect):
+        names.add(ix.array)
+        ix = ix.index
+    return names
+
+
+def count_guards(
+    kernel: LoopKernel,
+    bufs: dict[str, np.ndarray],
+    max_inner_iters: Optional[int] = None,
+) -> ExecResult:
+    """Guard statistics of a truncated scalar run, without running it.
+
+    Only for kernels where :func:`guards_read_inputs_only` holds: each
+    guard is evaluated once, lane-parallel, over the same iteration
+    grid :func:`run_scalar_interpreted` walks, and a nested guard only
+    over the iterations its enclosing branch runs.  Taken and seen are
+    the interpreter's integers, so ``guard_probs`` equals its dict
+    exactly.  ``bufs`` is only read.
+    """
+    outer_trip, inner_trip = truncated_trips(kernel, max_inner_iters)
+    inner = np.arange(inner_trip, dtype=np.int64)
+    if kernel.depth == 1:
+        ivals = (inner,)
+    else:
+        outer = np.arange(outer_trip, dtype=np.int64)
+        ivals = (np.repeat(outer, inner_trip), np.tile(inner, outer_trip))
+    stats = _GuardStats(kernel.body)
+    with np.errstate(all="ignore"):
+        _count_guards(kernel.body, _Ctx(bufs, initial_scalars(kernel), ivals), stats)
+    return ExecResult(
+        scalars={}, guard_probs=stats.probs(), iterations=outer_trip * inner_trip
+    )
+
+
+def _count_guards(stmts, ctx: _Ctx, stats: _GuardStats) -> None:
+    n = len(ctx.ivals[-1])
+    for stmt in stmts:
+        if not isinstance(stmt, IfBlock):
+            continue
+        cond = np.asarray(eval_expr(stmt.cond, ctx)).astype(bool)
+        cond = np.broadcast_to(cond, (n,))
+        taken = int(np.count_nonzero(cond))
+        stats.record(stats.index_of(stmt), taken, n)
+        for body, mask, runs in (
+            (stmt.then_body, cond, taken),
+            (stmt.else_body, ~cond, n - taken),
+        ):
+            if runs:
+                ivals = tuple(iv[mask] for iv in ctx.ivals)
+                _count_guards(body, _Ctx(ctx.bufs, ctx.scalars, ivals), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +430,7 @@ def run_vector(
     outer_trip = 1 if kernel.depth == 1 else kernel.loops[0].trip
 
     tail_env = _TailEnv(lane_env, set(red_ops))
-    tail_stats = _GuardStats()
+    tail_stats = _GuardStats(kernel.body)
     total = 0
     with np.errstate(all="ignore"):
         for outer in range(outer_trip):

@@ -1,8 +1,8 @@
 """Measurement harness: produce "measured" speedups for kernels.
 
 For a kernel and target this module runs the full pipeline —
-branch-probability estimation (functional scalar run on a truncated
-trip), scalar lowering + timing, vectorization, vector lowering +
+branch-probability estimation (guard counts over a truncated trip),
+scalar lowering + timing, vectorization, vector lowering +
 timing, remainder accounting — and reports the measured speedup with
 optional deterministic measurement jitter.
 
@@ -23,15 +23,17 @@ from ..codegen.scalar_gen import lower_scalar
 from ..codegen.vector_gen import lower_vector
 from ..ir.kernel import LoopKernel
 from ..ir.stmt import IfBlock
-from ..memo import Identity, Memo
+from ..memo import Memo
 from ..targets.base import Target
 from ..targets.generic_ir import GENERIC_IR
 from ..vectorize.llv import vectorize_loop
 from ..vectorize.plan import VectorizationFailure, VectorizationPlan
-from .executor import make_buffers, run_scalar
+from .executor import count_guards, guards_read_inputs_only, make_buffers, run_scalar
 from .timing import CycleBreakdown, analyze_stream
 
-#: Inner iterations sampled when estimating branch probabilities.
+#: Inner iterations sampled when estimating branch probabilities (a
+#: depth-2 kernel also keeps at most a quarter as many outer
+#: iterations; see :func:`~repro.sim.executor.truncated_trips`).
 GUARD_SAMPLE_ITERS = 512
 
 
@@ -70,30 +72,37 @@ class MeasuredSample:
         )
 
 
-#: Guard-probability runs by (kernel object, seed).  The run is
-#: deterministic given those two, and several measurements of one kernel
-#: (scalar vs vector lowering, LLV vs SLP plans, jitter sweeps) would
-#: otherwise each repeat the functional run — the most expensive stage
-#: of a measurement.
+#: Guard probabilities by (kernel fingerprint, seed).  They are
+#: deterministic given the kernel's content and the seed, and several
+#: measurements of one kernel (scalar vs vector lowering, LLV vs SLP
+#: plans, jitter sweeps, a search after a sweep, a repeat advise
+#: request that parsed a new kernel object) would otherwise each repeat
+#: the estimate.
 GUARD_PROBS = Memo(max_entries=512)
 
 
 def estimate_guard_probs(kernel: LoopKernel, seed: int = 0) -> dict[int, float]:
-    """Branch-taken probabilities from a truncated functional run.
+    """Branch-taken probabilities over a truncated run of the kernel.
 
-    Memoized per (kernel object, seed); returns a fresh dict either
-    way so callers can never alias each other's copy.
+    When no guard reads data the loop writes
+    (:func:`~repro.sim.executor.guards_read_inputs_only`), the guards
+    are counted over the truncated iteration grid with numpy
+    (:func:`~repro.sim.executor.count_guards`); otherwise the
+    interpreter runs the truncated loop.  Both give the same dict.
+    Memoized per (kernel fingerprint, seed); returns a fresh dict
+    either way so callers can never alias each other's copy.
     """
     if not any(isinstance(s, IfBlock) for s in kernel.stmts()):
         return {}
+    # Imported here: the pipeline package imports this module.
+    from ..pipeline.fingerprint import kernel_fingerprint
 
-    def run() -> dict[int, float]:
+    def compute() -> dict[int, float]:
         bufs = make_buffers(kernel, seed=seed)
-        return run_scalar(
-            kernel, bufs, max_inner_iters=GUARD_SAMPLE_ITERS
-        ).guard_probs
+        run = count_guards if guards_read_inputs_only(kernel) else run_scalar
+        return run(kernel, bufs, max_inner_iters=GUARD_SAMPLE_ITERS).guard_probs
 
-    return dict(GUARD_PROBS.get((Identity(kernel), seed), run))
+    return dict(GUARD_PROBS.get((kernel_fingerprint(kernel), seed), compute))
 
 
 def apply_jitter(value: float, rng: np.random.Generator, sigma: float) -> float:

@@ -54,3 +54,23 @@ def generic_ir():
 @pytest.fixture
 def small_dims():
     return SMALL
+
+
+def pytest_addoption(parser):
+    group = parser.getgroup("repro")
+    group.addoption(
+        "--guard-corpus",
+        type=int,
+        default=300,
+        metavar="N",
+        help="generated kernels whose guard counts the grid-vs-interpreter "
+        "test checks (default: %(default)s)",
+    )
+    group.addoption(
+        "--guard-seeds",
+        type=int,
+        default=1,
+        metavar="S",
+        help="data seeds 0..S-1 that test checks each kernel at "
+        "(default: %(default)s)",
+    )

@@ -29,7 +29,7 @@ from collections import Counter
 
 import pytest
 
-from repro.codegen.interleave import interleave_stream
+from repro.codegen.interleave import interleave_stream, interleaved_counts
 from repro.costmodel.speedup import SpeedupModel
 from repro.dse import SEARCHES, model_fingerprint, search_kernel
 from repro.dse import oracle, points as points_mod, search
@@ -37,7 +37,7 @@ from repro.fitting.nnls import NonNegativeLeastSquares
 from repro.ir.stmt import IfBlock
 from repro.pipeline.faultinject import parse_faults
 from repro.serve.chaos import suite_payloads
-from repro.targets import ARMV8_NEON
+from repro.targets import ARMV8_NEON, X86_AVX2
 from repro.tsvc import all_kernels
 from repro.vectorize.plan import (
     PlanPoint,
@@ -138,6 +138,112 @@ def test_interleave_stream_shape():
     assert len(ids) == len(set(ids))
     with pytest.raises(ValueError):
         interleave_stream(stream, 7)  # does not divide iters
+
+
+def _interleave_by_replace(stream, ic):
+    """The transform written with ``dataclasses.replace``: the reference
+    the direct ``MInstr`` construction must equal."""
+    from dataclasses import replace
+
+    if ic == 1:
+        return stream
+    stride = max((i.id for i in stream.all_instrs()), default=-1) + 1
+
+    def remap(ins, c):
+        extra, carried = [], []
+        for producer, dist in ins.carried:
+            if producer == ins.id and dist == 1:
+                carried.append((producer + c * stride, 1))
+                continue
+            q, src_copy = divmod(c - dist, ic)
+            if q == 0:
+                extra.append(producer + src_copy * stride)
+            else:
+                carried.append((producer + src_copy * stride, -q))
+        return replace(
+            ins,
+            id=ins.id + c * stride,
+            srcs=tuple(s + c * stride for s in ins.srcs) + tuple(extra),
+            carried=tuple(carried),
+            mem_stride=(
+                ins.mem_stride * ic
+                if ins.mem_stride not in (None, 0)
+                else ins.mem_stride
+            ),
+        )
+
+    out = type(stream)(
+        name=f"{stream.name}.ic{ic}",
+        iters=stream.iters // ic,
+        elems_per_iter=stream.elems_per_iter * ic,
+        remainder=stream.remainder,
+        working_set_bytes=stream.working_set_bytes,
+    )
+    for c in range(ic):
+        out.body.extend(remap(ins, c) for ins in stream.body)
+        out.prologue.extend(replace(i, id=i.id + c * stride) for i in stream.prologue)
+        out.epilogue.extend(replace(i, id=i.id + c * stride) for i in stream.epilogue)
+    return out
+
+
+_BASE_STREAMS: dict = {}
+
+
+def _suite_base_streams(target) -> list:
+    """``(point, lowering, base stream)`` of every vector point of the
+    (small) suite on ``target``, lowered for the target and GENERIC_IR;
+    built once per target for the tests below."""
+    from repro.targets.generic_ir import GENERIC_IR
+
+    if target.name not in _BASE_STREAMS:
+        out = _BASE_STREAMS[target.name] = []
+        for kernel in SUITE:
+            space = points_mod.PlanSpace(kernel, target)
+            for point in enumerate_plan_points(kernel, target):
+                if point.is_scalar or not is_plan(space.plan(point)):
+                    continue
+                for lowering in (target, GENERIC_IR):
+                    out.append((point, lowering, space._base_stream(point, lowering)))
+    return _BASE_STREAMS[target.name]
+
+
+@pytest.mark.parametrize("target", [ARMV8_NEON, X86_AVX2], ids=lambda t: t.name)
+def test_interleaved_counts_equal_the_built_stream(target):
+    """Scoring counts an interleaved point from its base stream: the
+    dict (keys, their order, every float) equals the built stream's
+    ``counts()`` on every plan point of the suite."""
+    cases = interleaved = 0
+    for point, _, base in _suite_base_streams(target):
+        built = interleave_stream(base, point.interleave).counts()
+        counted = interleaved_counts(base, point.interleave)
+        assert counted == built and list(counted) == list(built), point
+        cases += 1
+        interleaved += point.interleave > 1
+    assert interleaved > 1000 and cases > interleaved
+
+
+def test_interleaved_counts_raise_like_the_stream():
+    base = next(
+        b for p, _, b in _suite_base_streams(ARMV8_NEON) if b.iters % 7
+    )
+    for ic in (0, 7):
+        with pytest.raises(ValueError) as built:
+            interleave_stream(base, ic)
+        with pytest.raises(ValueError) as counted:
+            interleaved_counts(base, ic)
+        assert str(counted.value) == str(built.value)
+
+
+def test_direct_instructions_equal_dataclass_replace():
+    checked = 0
+    for point, lowering, base in _suite_base_streams(ARMV8_NEON):
+        if point.interleave == 1 or lowering is not ARMV8_NEON:
+            continue
+        assert interleave_stream(base, point.interleave) == _interleave_by_replace(
+            base, point.interleave
+        ), point
+        checked += 1
+    assert checked > 500
 
 
 # -- batched oracle -----------------------------------------------------------
@@ -338,6 +444,41 @@ def test_plan_space_builds_each_recipe_once(model, monkeypatch, driver):
         else:
             assert len(builds) == len(recipes), kernel.name
         assert lowerings and max(lowerings.values()) == 1, kernel.name
+
+
+def test_e14_vectorizes_each_recipe_once_per_kernel(model, monkeypatch):
+    """E14's four drivers and its measure-everything pass share one plan
+    space per kernel: one vectorizer run per distinct recipe, and every
+    search returns what a search in its own private space returns."""
+    from repro.dse.experiment import E14_DRIVERS, _evaluate_kernel
+
+    builds: list = []
+    for name in ("vectorize_loop", "slp_vectorize"):
+        real = getattr(points_mod, name)
+
+        def build(base, target, vf, _real=real):
+            builds.append(vf)
+            return _real(base, target, vf)
+
+        monkeypatch.setattr(points_mod, name, build)
+    covered = set()
+    for kernel in IDENTITY_SLICE[:16]:
+        builds.clear()
+        _evaluate_kernel(kernel, ARMV8_NEON, model, seed=0)
+        runs = len(builds)
+        shared = {  # memo hits: the searches E14 just ran
+            d: search_kernel(kernel, ARMV8_NEON, model, driver=d, seed=0)
+            for d in E14_DRIVERS
+        }
+        points = shared["exhaustive"].points
+        recipes = {(p.strategy, p.vf, p.unroll) for p in points if not p.is_scalar}
+        assert runs == len(recipes), kernel.name
+        SEARCHES.clear()
+        for d in E14_DRIVERS:
+            private = search_kernel(kernel, ARMV8_NEON, model, driver=d, seed=0)
+            assert repr(private) == repr(shared[d]), (kernel.name, d)
+        covered |= _recipe_kinds(points)
+    assert covered == {"slp", "unroll"}
 
 
 def test_lowering_error_is_kept_per_recipe(model, monkeypatch):

@@ -77,19 +77,23 @@ def test_guard_probs_empty_without_guards():
 
 
 def test_guard_probs_memoized_per_kernel_and_seed(monkeypatch):
-    """Measuring several plans of one kernel runs the estimator once."""
+    """Measuring several plans of one kernel runs the estimator once.
+
+    Every computation, on the grid path (s271's) or the interpreter's,
+    starts from one ``make_buffers`` call: that is what is counted.
+    """
     import repro.sim.measure as measure_mod
 
     measure_mod.GUARD_PROBS.clear()
     kern = get_kernel("s271", SMALL)
     runs = []
-    real_run = measure_mod.run_scalar
+    real_make = measure_mod.make_buffers
 
-    def counting_run(*args, **kwargs):
+    def counting_make(*args, **kwargs):
         runs.append(1)
-        return real_run(*args, **kwargs)
+        return real_make(*args, **kwargs)
 
-    monkeypatch.setattr(measure_mod, "run_scalar", counting_run)
+    monkeypatch.setattr(measure_mod, "make_buffers", counting_make)
     first = estimate_guard_probs(kern, seed=0)
     second = estimate_guard_probs(kern, seed=0)
     assert first == second

@@ -250,6 +250,21 @@ def test_serve_knobs_env(tmp_path):
     assert (pool.timeout, pool.queue_size, pool.workers) == (2.5, 8, 3)
 
 
+@pytest.mark.parametrize(
+    ("kwargs", "knob"),
+    [
+        ({"workers": 0}, "REPRO_SERVE_WORKERS"),
+        ({"queue_size": 0}, "REPRO_SERVE_QUEUE"),
+        ({"timeout": 0}, "REPRO_SERVE_TIMEOUT"),
+    ],
+)
+def test_explicit_pool_sizes_are_checked_like_the_settings(tmp_path, kwargs, knob):
+    """A pool with no worker thread, an unbounded queue or no deadline
+    is refused, whether the value came from a variable or a parameter."""
+    with pytest.raises(ValueError, match=knob):
+        WorkerPool(Advisor(ModelRegistry(tmp_path / "registry")), **kwargs)
+
+
 def test_pool_reads_fault_plan_env_and_draws_only_serve_kinds(tmp_path):
     """One ``REPRO_FAULTS`` plan feeds sweeps and the pool; the pool
     fires only the request-scoped kinds."""

@@ -137,10 +137,17 @@ def test_current_reads_the_environment_once(monkeypatch):
         (["serve", "--timeout", "-1"], "REPRO_SERVE_TIMEOUT"),
         (["E1", "--workers", "0"], "REPRO_WORKERS"),
         (["E1", "--timeout", "-1"], "REPRO_TIMEOUT"),
+        (["chaos", "--workers", "0"], "REPRO_WORKERS"),
+        (["chaos", "--timeout", "-1"], "REPRO_TIMEOUT"),
+        (["chaos", "--max-attempts", "0"], "REPRO_MAX_ATTEMPTS"),
+        (["serve-chaos", "--workers", "0"], "REPRO_SERVE_WORKERS"),
+        (["serve-chaos", "--timeout", "0"], "REPRO_SERVE_TIMEOUT"),
     ],
 )
 def test_cli_flags_are_checked_like_their_variables(argv, knob, monkeypatch):
     import repro.experiments.scheduler as scheduler
+    import repro.pipeline.build as build
+    import repro.serve.chaos as serve_chaos
     import repro.serve.server as server
     from repro.experiments.__main__ import main
 
@@ -149,6 +156,8 @@ def test_cli_flags_are_checked_like_their_variables(argv, knob, monkeypatch):
 
     monkeypatch.setattr(scheduler, "run_suite", forbidden)
     monkeypatch.setattr(server, "AdvisorServer", forbidden)
+    monkeypatch.setattr(build, "measure_suite", forbidden)
+    monkeypatch.setattr(serve_chaos, "run_gate", forbidden)
     monkeypatch.setattr(socket.socket, "bind", forbidden)
     flag = argv[-2]
     with pytest.raises(ValueError, match=f"{knob} .*{flag}"):
