@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from ..ir.expr import Affine, Expr, Indirect, Load
 from ..ir.kernel import ArrayDecl, LoopKernel
@@ -74,6 +74,23 @@ def linearize(decl: ArrayDecl, subscript: tuple, depth: int) -> Optional[Affine]
             coeffs[lvl] += ix.coeff(lvl) * s
         offset += ix.offset * s
     return Affine(tuple(coeffs), offset)
+
+
+def linearize_access(
+    node: Union[Load, ArrayStore], decl: ArrayDecl, depth: int
+) -> Optional[Affine]:
+    """:func:`linearize` of a load's or store's subscript, kept on the node.
+
+    Every lowering of a kernel linearizes the same accesses; nodes are
+    immutable, so the result is kept for the next caller that asks
+    with the same declaration and depth.
+    """
+    kept = getattr(node, "_linearized", None)
+    if kept is not None and kept[0] is decl and kept[1] == depth:
+        return kept[2]
+    lin = linearize(decl, node.subscript, depth)
+    object.__setattr__(node, "_linearized", (decl, depth, lin))
+    return lin
 
 
 def classify_stride(stride: Optional[int]) -> AccessPattern:

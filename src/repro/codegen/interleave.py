@@ -120,6 +120,7 @@ def interleave_stream(stream: MStream, ic: int) -> MStream:
         elems_per_iter=stream.elems_per_iter * ic,
         remainder=stream.remainder,
         working_set_bytes=stream.working_set_bytes,
+        target_answers=stream.target_answers,
     )
     for c in range(ic):
         out.body.extend(_remap_edges(ins, c, ic, stride) for ins in stream.body)

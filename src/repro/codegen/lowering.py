@@ -76,6 +76,43 @@ class LowerError(Exception):
     """Kernel contains a construct this generator cannot lower."""
 
 
+class TargetView:
+    """``target`` as one lowering sees it: every attribute read is logged.
+
+    ``answers`` maps each attribute read through the view to the value
+    the target gave.  A lowering is a function of its plan and of those
+    answers, so a target that gives the same answers
+    (:func:`gives_answers`) lowers the plan to the same stream.  As a
+    context manager the view also hands its answers to an exception
+    that escapes the lowering (``exc.target_answers``), so a failure
+    holds on the same terms.
+    """
+
+    __slots__ = ("_target", "answers")
+
+    def __init__(self, target: Target):
+        self._target = target
+        self.answers: dict[str, object] = {}
+
+    def __getattr__(self, name: str):
+        value = getattr(self._target, name)
+        self.answers.setdefault(name, value)
+        return value
+
+    def __enter__(self) -> "TargetView":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> bool:
+        if exc is not None:
+            exc.target_answers = dict(self.answers)
+        return False
+
+
+def gives_answers(target: Target, answers: dict) -> bool:
+    """True when ``target`` answers every read in ``answers`` the same."""
+    return all(getattr(target, name) == value for name, value in answers.items())
+
+
 class BaseLowerer:
     """Common expression-to-instruction lowering.
 
@@ -100,6 +137,10 @@ class BaseLowerer:
         self.fuse_fma = fuse_fma
         #: value numbering: expr -> instr id (or None for free values)
         self.available: dict[Expr, Optional[int]] = {}
+        #: array -> every expr ever numbered that loads it.  Never
+        #: pruned, so it still covers the entries a guard's snapshot of
+        #: ``available`` restores.
+        self._readers: dict[str, dict[Expr, None]] = {}
         #: producer instr of each scalar assigned earlier this iteration
         self.scalar_producer: dict[str, Optional[int]] = {}
         #: (consumer instr id, scalar name) waiting for a carried edge
@@ -131,11 +172,14 @@ class BaseLowerer:
     # -- main dispatcher -----------------------------------------------------
 
     def lower_expr(self, expr: Expr, weight: float = 1.0) -> Optional[int]:
-        if expr in self.available:
-            return self.available[expr]
+        result = self.available.get(expr, _MISSING)
+        if result is not _MISSING:
+            return result
         result = self._lower_uncached(expr, weight)
         if result is not _CARRIED_SENTINEL:
             self.available[expr] = result
+            for array in expr.loaded_arrays():
+                self._readers.setdefault(array, {})[expr] = None
         return result
 
     def _lower_uncached(self, expr: Expr, weight: float) -> Optional[int]:
@@ -253,14 +297,12 @@ class BaseLowerer:
 
     def invalidate_array(self, array: str) -> None:
         """Drop CSE entries that load from ``array`` (after a store)."""
-        stale = [
-            e
-            for e in self.available
-            if any(isinstance(n, Load) and n.array == array for n in e.walk())
-        ]
-        for e in stale:
-            del self.available[e]
+        for e in self._readers.get(array, ()):
+            self.available.pop(e, None)
 
 
 #: Sentinel distinguishing "value from previous iteration" from "free value".
 _CARRIED_SENTINEL = -1
+
+#: Marks a value-numbering miss (``None`` is a valid entry).
+_MISSING = object()

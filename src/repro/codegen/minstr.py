@@ -18,7 +18,7 @@ from ..ir.types import DType
 from ..targets.classes import IClass, MEMORY_CLASSES
 
 
-@dataclass
+@dataclass(slots=True)
 class MInstr:
     """One machine instruction in a stream.
 
@@ -90,6 +90,10 @@ class MStream:
     elems_per_iter: int = 1
     remainder: int = 0
     working_set_bytes: int = 0
+    #: What the lowering read from its target: attribute name -> the
+    #: value it got (see :class:`~repro.codegen.lowering.TargetView`).
+    #: Any target giving the same answers lowers to this same stream.
+    target_answers: dict = field(default_factory=dict, compare=False, repr=False)
 
     def all_instrs(self) -> Iterable[MInstr]:
         yield from self.prologue
@@ -206,22 +210,17 @@ class StreamBuilder:
         mem_array: str = "",
         mem_stride: Optional[int] = None,
     ) -> int:
-        ins = MInstr(
-            id=self._next_id,
-            iclass=iclass,
-            dtype=dtype,
-            lanes=lanes,
-            srcs=tuple(s for s in srcs if s is not None),
-            carried=carried,
-            weight=weight,
-            traffic=traffic,
-            note=note,
-            mem_array=mem_array,
-            mem_stride=mem_stride,
+        if type(srcs) is not tuple or None in srcs:
+            srcs = tuple(s for s in srcs if s is not None)
+        ins_id = self._next_id
+        self._next_id = ins_id + 1
+        self._section.append(
+            MInstr(
+                ins_id, iclass, dtype, lanes, srcs, carried, weight, traffic,
+                note, mem_array, mem_stride,
+            )
         )
-        self._next_id += 1
-        self._section.append(ins)
-        return ins.id
+        return ins_id
 
     def find(self, instr_id: int) -> Optional[MInstr]:
         for ins in self.stream.all_instrs():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..analysis.access import linearize
+from ..analysis.access import linearize_access
 from ..ir.expr import Affine, Indirect, Load
 from ..ir.kernel import LoopKernel
 from ..ir.stmt import ArrayStore, IfBlock, ScalarAssign, Stmt
@@ -47,7 +47,7 @@ class ScalarLowerer(BaseLowerer):
     def lower_load(self, load: Load, weight: float) -> Optional[int]:
         decl = self.kernel.arrays[load.array]
         srcs: list[int] = []
-        lin = linearize(decl, load.subscript, self.kernel.depth)
+        lin = linearize_access(load, decl, self.kernel.depth)
         stride: Optional[int]
         if lin is None:
             # Indirect: the index array is loaded first.
@@ -117,7 +117,7 @@ class ScalarLowerer(BaseLowerer):
         decl = self.kernel.arrays[stmt.array]
         val = self.lower_expr(stmt.value, weight)
         srcs = [val] if isinstance(val, int) and val >= 0 else []
-        lin = linearize(decl, stmt.subscript, self.kernel.depth)
+        lin = linearize_access(stmt, decl, self.kernel.depth)
         stride = lin.coeff(self.kernel.inner_level) if lin is not None else None
         if lin is None:
             for ix in stmt.subscript:

@@ -10,11 +10,13 @@ unroll normalization).
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..ir.stmt import IfBlock, Stmt
 from ..targets.base import Target
 from ..vectorize.plan import VectorizationPlan
 from ..vectorize.unroll import _rewrite_stmt
-from ..sim.measure import estimate_guard_probs
+from .lowering import TargetView
 from .minstr import MStream, StreamBuilder
 from .scalar_gen import DEFAULT_GUARD_PROB, ScalarLowerer
 from .vector_gen import VectorLowerer
@@ -49,40 +51,54 @@ def _expanded_guard_probs(
     return expanded
 
 
-def lower_slp(plan: VectorizationPlan, target: Target) -> MStream:
+def lower_slp(
+    plan: VectorizationPlan,
+    target: Target,
+    guard_probs: Optional[dict[int, float]] = None,
+) -> MStream:
+    """Lower an SLP plan.
+
+    ``guard_probs`` maps the n-th IfBlock of ``plan.kernel`` to its
+    taken probability, as for :func:`~.scalar_gen.lower_scalar` (and
+    unmeasured guards assume 50% the same way); it weights the unpacked
+    scalar copies, so pass the probabilities the scalar baseline used.
+
+    The target is read through a :class:`TargetView`, as in
+    :func:`~.vector_gen.lower_vector`.
+    """
     kernel = plan.kernel
     factor = plan.vf
     builder = StreamBuilder(f"{kernel.name}.slp.f{factor}")
 
-    has_guards = any(isinstance(s, IfBlock) for s in kernel.stmts())
-    original_probs = estimate_guard_probs(kernel) if has_guards else {}
-    vec = VectorLowerer(plan, target, builder)
-    # The scalar side shares the builder so ids stay globally unique,
-    # but keeps its own CSE/producer state (packed and scalar copies do
-    # not forward values to each other in this model).
-    scal = ScalarLowerer(
-        kernel,
-        target,
-        builder,
-        guard_probs=_expanded_guard_probs(
-            kernel, plan.packed_stmts, factor, original_probs
-        ),
-    )
-    inner = kernel.inner_level
+    with TargetView(target) as view:
+        vec = VectorLowerer(plan, view, builder)
+        # The scalar side shares the builder so ids stay globally unique,
+        # but keeps its own CSE/producer state (packed and scalar copies do
+        # not forward values to each other in this model).
+        scal = ScalarLowerer(
+            kernel,
+            view,
+            builder,
+            guard_probs=_expanded_guard_probs(
+                kernel, plan.packed_stmts, factor, guard_probs or {}
+            ),
+        )
+        inner = kernel.inner_level
 
-    for idx, stmt in enumerate(kernel.body):
-        if idx in plan.packed_stmts:
-            vec.lower_stmt(stmt)
-        else:
-            for u in range(factor):
-                scal.lower_stmt(_rewrite_stmt(stmt, inner, factor, u, lambda n: n))
-    vec.resolve_carried_scalars()
-    scal.resolve_carried_scalars()
-    vec.attach_memory_recurrences()
-    scal.attach_memory_recurrences()
-    vec.finish_reductions()
+        for idx, stmt in enumerate(kernel.body):
+            if idx in plan.packed_stmts:
+                vec.lower_stmt(stmt)
+            else:
+                for u in range(factor):
+                    scal.lower_stmt(_rewrite_stmt(stmt, inner, factor, u, lambda n: n))
+        vec.resolve_carried_scalars()
+        scal.resolve_carried_scalars()
+        vec.attach_memory_recurrences()
+        scal.attach_memory_recurrences()
+        vec.finish_reductions()
 
     stream = builder.stream
+    stream.target_answers = view.answers
     inner_iters = kernel.inner.trip // factor
     outer = kernel.total_iterations // kernel.inner.trip
     stream.iters = inner_iters * outer

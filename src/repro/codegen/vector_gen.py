@@ -24,14 +24,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..analysis.access import linearize
+from ..analysis.access import linearize_access
 from ..analysis.reduction import ScalarClass
 from ..ir.expr import Affine, Expr, Indirect, Load, UnOp, UnOpKind
 from ..ir.stmt import ArrayStore, IfBlock, ScalarAssign, Stmt
 from ..targets.base import Target
 from ..targets.classes import IClass
 from ..vectorize.plan import VectorizationPlan
-from .lowering import BaseLowerer, LowerError, access_traffic
+from .lowering import BaseLowerer, LowerError, TargetView, access_traffic
 from .minstr import MStream, StreamBuilder
 
 
@@ -50,7 +50,7 @@ class VectorLowerer(BaseLowerer):
 
     def lower_load(self, load: Load, weight: float) -> Optional[int]:
         decl = self.kernel.arrays[load.array]
-        lin = linearize(decl, load.subscript, self.kernel.depth)
+        lin = linearize_access(load, decl, self.kernel.depth)
         if lin is None:
             return self._lower_gather(load, decl, weight)
         stride = lin.coeff(self.kernel.inner_level)
@@ -233,7 +233,7 @@ class VectorLowerer(BaseLowerer):
         decl = self.kernel.arrays[stmt.array]
         val = self.lower_expr(stmt.value, weight)
         val_srcs = (val,) if isinstance(val, int) and val >= 0 else ()
-        lin = linearize(decl, stmt.subscript, self.kernel.depth)
+        lin = linearize_access(stmt, decl, self.kernel.depth)
         elem = decl.dtype.size
 
         if lin is None:
@@ -578,16 +578,22 @@ class VectorLowerer(BaseLowerer):
 
 
 def lower_vector(plan: VectorizationPlan, target: Target) -> MStream:
-    """Lower an LLV plan to the target vector instruction stream."""
+    """Lower an LLV plan to the target vector instruction stream.
+
+    The lowering reads ``target`` through a :class:`TargetView`; the
+    stream keeps what it read in ``target_answers``.
+    """
     kernel = plan.kernel
     builder = StreamBuilder(f"{kernel.name}.vector.vf{plan.vf}")
-    low = VectorLowerer(plan, target, builder)
-    for stmt in kernel.body:
-        low.lower_stmt(stmt)
-    low.resolve_carried_scalars()
-    low.attach_memory_recurrences()
-    low.finish_reductions()
+    with TargetView(target) as view:
+        low = VectorLowerer(plan, view, builder)
+        for stmt in kernel.body:
+            low.lower_stmt(stmt)
+        low.resolve_carried_scalars()
+        low.attach_memory_recurrences()
+        low.finish_reductions()
     stream = builder.stream
+    stream.target_answers = view.answers
     inner_vec_iters = kernel.inner.trip // plan.vf
     outer = kernel.total_iterations // kernel.inner.trip
     stream.iters = inner_vec_iters * outer

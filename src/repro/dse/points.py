@@ -27,6 +27,7 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from ..codegen.interleave import interleave_stream, interleaved_counts
+from ..codegen.lowering import gives_answers
 from ..codegen.minstr import MStream
 from ..codegen.scalar_gen import lower_scalar
 from ..codegen.slp_gen import lower_slp
@@ -101,13 +102,17 @@ def materialize_point(
 class PlanSpace:
     """One kernel's plan recipes on one target, each built at most once.
 
-    Every piece is computed on first use and kept: the scalar lowering
-    (which runs the guard probabilities) and its timing, each vector
+    Every piece is computed on first use and kept: the guard
+    probabilities, the scalar lowering and its timing, each vector
     recipe's plan (:func:`materialize_point`), and each recipe's base
-    stream per lowering target (``GENERIC_IR`` for scoring, the machine
-    target for measurement).  A ``ValueError`` raised while lowering a
-    recipe is kept too, so every point of that recipe fails the same
-    way.  A space serves one search and is then dropped.
+    streams.  A base stream is kept with the answers its lowering read
+    from the target (``MStream.target_answers``), not under a target
+    name: a lowering target that gives the same answers (``GENERIC_IR``
+    for scoring, the machine target for measurement) gets the same
+    stream object, and only one that answers differently lowers the
+    recipe again.  A ``ValueError`` raised while lowering a recipe is
+    kept the same way, so every point of that recipe fails alike.  A
+    space serves one search and is then dropped.
     """
 
     def __init__(
@@ -127,11 +132,14 @@ class PlanSpace:
         self._streams: dict = {}
 
     @cached_property
+    def guard_probs(self) -> dict:
+        if self._guard_probs is not None:
+            return self._guard_probs
+        return estimate_guard_probs(self.kernel, seed=self._seed)
+
+    @cached_property
     def scalar_stream(self) -> MStream:
-        guard_probs = self._guard_probs
-        if guard_probs is None:
-            guard_probs = estimate_guard_probs(self.kernel, seed=self._seed)
-        return lower_scalar(self.kernel, self.target, guard_probs=guard_probs)
+        return lower_scalar(self.kernel, self.target, guard_probs=self.guard_probs)
 
     @cached_property
     def scalar_timing(self) -> CycleBreakdown:
@@ -149,23 +157,37 @@ class PlanSpace:
         return self._plans[key]
 
     def _base_stream(self, point: PlanPoint, lowering: Target) -> MStream:
-        """The recipe's stream before interleaving, lowered once."""
-        key = (point.strategy, point.vf, point.unroll, lowering.name)
-        base = self._streams.get(key)
-        if base is None:
+        """The recipe's stream before interleaving, lowered once per set
+        of target answers."""
+        lowered = self._streams.setdefault(
+            (point.strategy, point.vf, point.unroll), []
+        )
+        for base in lowered:
+            # An error raised before the lowering read the target
+            # carries no answers, and holds for every target.
+            if gives_answers(lowering, getattr(base, "target_answers", {})):
+                break
+        else:
             plan = self.plan(point)
             try:
-                base = (
-                    lower_slp(plan, lowering)
-                    if plan.kind == "slp"
-                    else lower_vector(plan, lowering)
-                )
+                if plan.kind == "slp":
+                    base = lower_slp(plan, lowering, self._plan_guard_probs(plan))
+                else:
+                    base = lower_vector(plan, lowering)
             except ValueError as exc:
                 base = exc
-            self._streams[key] = base
+            lowered.append(base)
         if isinstance(base, ValueError):
             raise base
         return base
+
+    def _plan_guard_probs(self, plan: VectorizationPlan) -> dict:
+        """Guard probabilities of the kernel ``plan`` vectorizes, at the
+        space's seed: the space's own for the kernel itself, a fresh
+        estimate for an unrolled copy (its guards are numbered anew)."""
+        if plan.kernel is self.kernel:
+            return self.guard_probs
+        return estimate_guard_probs(plan.kernel, seed=self._seed)
 
     def stream(self, point: PlanPoint, lowering: Target) -> MStream:
         """The vector point's stream lowered for ``lowering``.

@@ -11,13 +11,16 @@ arithmetic, mirroring how scalar-evolution feeds LLVM's vectorizer.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Iterator, Union
 
 from .types import DType, common_type
 
 
 class BinOpKind(enum.Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity
+
     ADD = "+"
     SUB = "-"
     MUL = "*"
@@ -43,6 +46,8 @@ REDUCTION_BINOPS = frozenset(
 
 
 class UnOpKind(enum.Enum):
+    __hash__ = object.__hash__
+
     NEG = "neg"
     ABS = "abs"
     SQRT = "sqrt"
@@ -51,6 +56,8 @@ class UnOpKind(enum.Enum):
 
 
 class CmpKind(enum.Enum):
+    __hash__ = object.__hash__
+
     LT = "<"
     LE = "<="
     GT = ">"
@@ -132,9 +139,30 @@ def affine1(coeff: int = 1, offset: int = 0, *, level: int = 0, depth: int = 1) 
 
 
 class Expr:
-    """Base class for all expression nodes."""
+    """Base class for all expression nodes.
+
+    Nodes are immutable, so each keeps what is costly to recompute on
+    itself, in slots beside the dataclass fields: its hash (value
+    numbering probes the same nodes many times per lowering), the
+    arrays it loads and, for loads, its printed form and linearized
+    subscript.  Pickles carry the fields only: string hashes are
+    salted per process.
+    """
+
+    __slots__ = ("_hash", "_loaded_arrays")
 
     dtype: DType
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._hash_fields(self))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        return self.__dict__
 
     def children(self) -> tuple["Expr", ...]:
         return ()
@@ -150,8 +178,29 @@ class Expr:
             if isinstance(node, Load):
                 yield node
 
+    def loaded_arrays(self) -> tuple[str, ...]:
+        """Names of the arrays this subtree loads, in walk order, once each."""
+        try:
+            return self._loaded_arrays
+        except AttributeError:
+            names = tuple(dict.fromkeys(node.array for node in self.loads()))
+            object.__setattr__(self, "_loaded_arrays", names)
+            return names
 
-@dataclass(frozen=True)
+
+def _node(cls):
+    """``cls`` as a frozen dataclass node that hashes once (see :class:`Expr`).
+
+    The hash is the dataclass one, ``hash`` of the field tuple; only
+    where it is kept changes.
+    """
+    cls = dataclass(frozen=True)(cls)
+    cls._hash_fields = attrgetter(*(f.name for f in fields(cls)))
+    cls.__hash__ = Expr.__hash__
+    return cls
+
+
+@_node
 class Const(Expr):
     value: float
     dtype: DType = DType.F32
@@ -160,7 +209,7 @@ class Const(Expr):
         return repr(self.value) if self.dtype.is_float else str(int(self.value))
 
 
-@dataclass(frozen=True)
+@_node
 class ScalarRef(Expr):
     """A named scalar: kernel parameter, temporary, or reduction accumulator."""
 
@@ -171,7 +220,7 @@ class ScalarRef(Expr):
         return self.name
 
 
-@dataclass(frozen=True)
+@_node
 class IterValue(Expr):
     """The loop variable of ``level`` used as an arithmetic value."""
 
@@ -182,21 +231,29 @@ class IterValue(Expr):
         return "ijk"[self.level]
 
 
-@dataclass(frozen=True)
+@_node
 class Load(Expr):
     array: str
     subscript: Subscript
     dtype: DType = DType.F32
 
+    #: Printed form and linearized subscript, kept like the hash.
+    __slots__ = ("_str", "_linearized", "__dict__")
+
     def children(self) -> tuple[Expr, ...]:
         return ()
 
     def __str__(self) -> str:
-        idx = "][".join(str(ix) for ix in self.subscript)
-        return f"{self.array}[{idx}]"
+        try:
+            return self._str
+        except AttributeError:
+            idx = "][".join(str(ix) for ix in self.subscript)
+            text = f"{self.array}[{idx}]"
+            object.__setattr__(self, "_str", text)
+            return text
 
 
-@dataclass(frozen=True)
+@_node
 class BinOp(Expr):
     op: BinOpKind
     lhs: Expr
@@ -221,7 +278,7 @@ class BinOp(Expr):
         return f"({self.lhs} {self.op.value} {self.rhs})"
 
 
-@dataclass(frozen=True)
+@_node
 class UnOp(Expr):
     op: UnOpKind
     operand: Expr
@@ -241,7 +298,7 @@ class UnOp(Expr):
         return f"{self.op.value}({self.operand})"
 
 
-@dataclass(frozen=True)
+@_node
 class Compare(Expr):
     op: CmpKind
     lhs: Expr
@@ -255,7 +312,7 @@ class Compare(Expr):
         return f"({self.lhs} {self.op.value} {self.rhs})"
 
 
-@dataclass(frozen=True)
+@_node
 class Select(Expr):
     """``cond ? if_true : if_false`` — the if-converted form of control flow."""
 
@@ -278,7 +335,7 @@ class Select(Expr):
         return f"({self.cond} ? {self.if_true} : {self.if_false})"
 
 
-@dataclass(frozen=True)
+@_node
 class Convert(Expr):
     operand: Expr
     dtype: DType

@@ -10,6 +10,7 @@ always targets the innermost loop, matching the paper's LLV setup
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .expr import Load
@@ -152,6 +153,11 @@ class LoopKernel:
 
     def working_set_bytes(self) -> int:
         """Bytes of array data the kernel touches (union of read+write)."""
+        return self._working_set_bytes
+
+    @cached_property
+    def _working_set_bytes(self) -> int:
+        # Every lowering of the kernel asks; the kernel is immutable.
         touched = self.arrays_read() | self.arrays_written()
         return sum(self.arrays[a].nbytes for a in touched if a in self.arrays)
 

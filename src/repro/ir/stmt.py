@@ -15,7 +15,16 @@ from .expr import Expr, Load, Subscript
 
 
 class Stmt:
-    """Base class of IR statements."""
+    """Base class of IR statements.
+
+    Like expression nodes, a store keeps its linearized subscript in a
+    slot beside the dataclass fields, and pickles carry the fields only.
+    """
+
+    __slots__ = ("_linearized",)
+
+    def __getstate__(self) -> dict:
+        return self.__dict__
 
     def walk(self) -> Iterator["Stmt"]:
         yield self

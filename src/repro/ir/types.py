@@ -16,6 +16,8 @@ from dataclasses import dataclass
 class DType(enum.Enum):
     """Element data type of IR values and array elements."""
 
+    __hash__ = object.__hash__  # members are singletons: hash by identity
+
     F32 = "f32"
     F64 = "f64"
     I32 = "i32"

@@ -18,8 +18,10 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ..codegen.lowering import gives_answers
 from ..codegen.minstr import MStream
 from ..codegen.scalar_gen import lower_scalar
+from ..codegen.slp_gen import lower_slp
 from ..codegen.vector_gen import lower_vector
 from ..ir.kernel import LoopKernel
 from ..ir.stmt import IfBlock
@@ -48,6 +50,8 @@ class MeasuredSample:
     vector_stream: MStream
     #: IR-level (pre-lowering) view of the vector block — what the
     #: cost models featurize, mirroring where LLVM's cost model runs.
+    #: The very ``vector_stream`` object when the machine lowering read
+    #: nothing ``GENERIC_IR`` answers differently.
     ir_vector_stream: MStream
     scalar_cycles: float
     vector_cycles: float
@@ -151,20 +155,27 @@ def measure_plan(
     seed: int = 0,
     guard_probs: Optional[dict[int, float]] = None,
 ) -> MeasuredSample:
-    """Measure an existing plan (scalar baseline vs vector execution)."""
+    """Measure an existing plan (scalar baseline vs vector execution).
+
+    The plan is lowered for ``target`` and, unless ``GENERIC_IR`` gives
+    the same answers to everything that lowering read from its target,
+    once more for the IR-level view.
+    """
     kernel = plan.kernel
     if guard_probs is None:
         guard_probs = estimate_guard_probs(kernel, seed=seed)
 
-    scalar_stream = lower_scalar(kernel, target, guard_probs=guard_probs)
-    if plan.kind == "slp":
-        from ..codegen.slp_gen import lower_slp
+    def lower(lowering: Target) -> MStream:
+        if plan.kind == "slp":
+            return lower_slp(plan, lowering, guard_probs)
+        return lower_vector(plan, lowering)
 
-        vector_stream = lower_slp(plan, target)
-        ir_vector_stream = lower_slp(plan, GENERIC_IR)
+    scalar_stream = lower_scalar(kernel, target, guard_probs=guard_probs)
+    vector_stream = lower(target)
+    if gives_answers(GENERIC_IR, vector_stream.target_answers):
+        ir_vector_stream = vector_stream
     else:
-        vector_stream = lower_vector(plan, target)
-        ir_vector_stream = lower_vector(plan, GENERIC_IR)
+        ir_vector_stream = lower(GENERIC_IR)
 
     sb = analyze_stream(scalar_stream, target)
     vb = analyze_stream(vector_stream, target)

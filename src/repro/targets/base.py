@@ -14,6 +14,7 @@ structure — see DESIGN.md §2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from ..ir.types import DType
@@ -105,7 +106,23 @@ class Target:
         return self.vector_bits // (dtype.size * 8)
 
     def timing(self, iclass: IClass, dtype: DType, lanes: int) -> InstrTiming:
-        """Timing for an instruction of ``iclass`` on ``lanes`` lanes."""
+        """Timing for an instruction of ``iclass`` on ``lanes`` lanes.
+
+        Looked up once per (class, type, form) and kept in the target's
+        own table: the timing model asks for every instruction of every
+        stream it times.
+        """
+        key = (iclass, dtype, lanes == 1)
+        t = self._timing_table.get(key)
+        if t is None:
+            t = self._timing_table[key] = self._lookup_timing(iclass, dtype, lanes)
+        return t
+
+    @cached_property
+    def _timing_table(self) -> dict[tuple[IClass, DType, bool], InstrTiming]:
+        return {}
+
+    def _lookup_timing(self, iclass: IClass, dtype: DType, lanes: int) -> InstrTiming:
         form = "s" if lanes == 1 else "v"
         t: Optional[InstrTiming] = None
         if dtype.is_int or dtype.is_bool:

@@ -18,6 +18,8 @@ import enum
 
 
 class IClass(enum.Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity
+
     # -- memory ------------------------------------------------------------
     LOAD = "load"            # packed/contiguous (or scalar) load
     STORE = "store"          # packed/contiguous (or scalar) store

@@ -74,3 +74,12 @@ def pytest_addoption(parser):
         help="data seeds 0..S-1 that test checks each kernel at "
         "(default: %(default)s)",
     )
+    group.addoption(
+        "--lowering-corpus",
+        type=int,
+        default=300,
+        metavar="N",
+        help="generated kernels whose shared plan-space streams the "
+        "lowering-share test checks against fresh lowerings "
+        "(default: %(default)s)",
+    )

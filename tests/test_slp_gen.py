@@ -1,10 +1,16 @@
 """SLP lowering internals: guard-prob expansion, hybrid streams."""
 
+import pytest
+
+from repro.codegen.scalar_gen import lower_scalar
 from repro.codegen.slp_gen import _count_guards, _expanded_guard_probs, lower_slp
+from repro.sim.measure import estimate_guard_probs, measure_kernel
 from repro.sim.timing import analyze_stream
 from repro.targets import X86_AVX2
 from repro.targets.classes import IClass
+from repro.tsvc import get_kernel
 from repro.vectorize import slp_vectorize
+from repro.vectorize.plan import enumerate_plan_points
 
 from tests.helpers import build
 
@@ -85,3 +91,33 @@ def test_slp_reduction_gets_epilogue():
     assert plan.packed_stmts == {0, 1}
     stream = lower_slp(plan, X86_AVX2)
     assert any(ins.iclass is IClass.REDUCE for ins in stream.epilogue)
+
+
+def _fractional_weights(stream) -> set:
+    return {ins.weight for ins in stream.body if ins.weight != 1.0}
+
+
+@pytest.mark.parametrize("name", ["s273", "s274", "s278"])
+def test_slp_stream_weighs_guards_like_the_scalar_baseline(name):
+    """At seed 1 the SLP stream's unpacked guarded copies and the scalar
+    baseline both read the measurement's own guard probabilities; seed 0
+    estimates differ for these kernels, so a lowering that fell back to
+    them would show."""
+    from repro.dse.points import PlanSpace
+
+    kernel = get_kernel(name)
+    probs = estimate_guard_probs(kernel, seed=1)
+    assert probs != estimate_guard_probs(kernel, seed=0)
+    m = measure_kernel(kernel, X86_AVX2, vectorizer="slp", seed=1)
+    assert m.guard_probs == probs
+    assert m.scalar_stream.body == lower_scalar(kernel, X86_AVX2, guard_probs=probs).body
+    assert m.vector_stream.body == lower_slp(m.plan, X86_AVX2, probs).body
+    assert _fractional_weights(m.vector_stream) == _fractional_weights(m.scalar_stream)
+
+    space = PlanSpace(kernel, X86_AVX2, seed=1)
+    point = next(
+        p for p in enumerate_plan_points(kernel, X86_AVX2) if p.strategy == "slp"
+    )
+    stream = space.stream(point, X86_AVX2)
+    assert stream.body == lower_slp(space.plan(point), X86_AVX2, probs).body
+    assert _fractional_weights(stream) <= _fractional_weights(space.scalar_stream)
