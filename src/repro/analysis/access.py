@@ -44,6 +44,8 @@ class AccessInfo:
     subscript: tuple
     pos: float
     guard_depth: int
+    #: :func:`linearize` of ``subscript``: None if indirect.
+    linear: Optional[Affine]
     stride: Optional[int]  # elements per innermost iteration; None if indirect
     pattern: AccessPattern
 
@@ -137,6 +139,7 @@ def collect_accesses(kernel: LoopKernel) -> list[AccessInfo]:
                 subscript=subscript,
                 pos=pos,
                 guard_depth=gd,
+                linear=lin,
                 stride=stride,
                 pattern=classify_stride(stride),
             )

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..ir.kernel import LoopKernel
-from .access import AccessInfo, collect_accesses, linearize
+from .access import AccessInfo, collect_accesses
 
 
 class DepKind(enum.Enum):
@@ -142,8 +142,7 @@ def _test_pair(
 ) -> Optional[Dependence]:
     depth = kernel.depth
     inner = kernel.inner_level
-    lin_a = linearize(a.decl, a.subscript, depth)
-    lin_b = linearize(b.decl, b.subscript, depth)
+    lin_a, lin_b = a.linear, b.linear
 
     if lin_a is None or lin_b is None:
         # Indirect subscript on a conflicting array — distance unknown.

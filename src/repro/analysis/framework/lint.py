@@ -27,7 +27,6 @@ from typing import Optional
 
 from ...ir.expr import Indirect
 from ...ir.kernel import LoopKernel
-from ..access import linearize
 from .diagnostics import Remark, Severity
 from .passmanager import AnalysisManager, AnalysisPass, register_pass
 from .passes import (
@@ -79,13 +78,13 @@ def _dead_array_stores(kernel: LoopKernel, am: AnalysisManager) -> list[Remark]:
     out: list[Remark] = []
     stores = [a for a in accesses if a.is_store and a.guard_depth == 0]
     for i, first in enumerate(stores):
-        lin_first = linearize(first.decl, first.subscript, kernel.depth)
+        lin_first = first.linear
         if lin_first is None:
             continue
         for second in stores[i + 1 :]:
             if second.array != first.array:
                 continue
-            if linearize(second.decl, second.subscript, kernel.depth) != lin_first:
+            if second.linear != lin_first:
                 continue
             reads_between = [
                 a
@@ -95,9 +94,7 @@ def _dead_array_stores(kernel: LoopKernel, am: AnalysisManager) -> list[Remark]:
                 and first.pos < a.pos < second.pos
             ]
             if any(
-                (lin := linearize(r.decl, r.subscript, kernel.depth)) is None
-                or lin == lin_first
-                for r in reads_between
+                r.linear is None or r.linear == lin_first for r in reads_between
             ):
                 continue
             out.append(

@@ -9,10 +9,13 @@ built on top of it.
 Kernels are keyed by object identity (``LoopKernel`` holds dicts and is
 not hashable); each cache entry pins the kernel object so its id cannot
 be recycled while the entry is alive, and entries are LRU-bounded.
+Threads may share a manager (the advisor's workers do): each thread
+keeps its own stack of running passes, and the LRU is locked.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -96,8 +99,9 @@ class AnalysisManager:
         self.max_kernels = max_kernels
         self.stats = ManagerStats()
         self._entries: "OrderedDict[int, _KernelEntry]" = OrderedDict()
-        #: stack of pass names currently running (for dependency edges).
-        self._running: list[str] = []
+        self._lock = threading.Lock()
+        #: per thread, the stack of pass names running (for dependency edges).
+        self._local = threading.local()
 
     # -- core API -----------------------------------------------------------
 
@@ -105,17 +109,18 @@ class AnalysisManager:
         """The result of ``pass_ref`` on ``kernel``, running it if needed."""
         pas = _resolve(pass_ref)
         entry = self._entry(kernel)
-        if self._running:
-            entry.dependents.setdefault(pas.name, set()).add(self._running[-1])
+        running = self._local.__dict__.setdefault("running", [])
+        if running:
+            entry.dependents.setdefault(pas.name, set()).add(running[-1])
         if pas.name in entry.results:
             self.stats.hits += 1
             return entry.results[pas.name]
         self.stats.misses += 1
-        self._running.append(pas.name)
+        running.append(pas.name)
         try:
             result = pas.run(kernel, self)
         finally:
-            self._running.pop()
+            running.pop()
         entry.results[pas.name] = result
         return result
 
@@ -175,14 +180,15 @@ class AnalysisManager:
 
     def _entry(self, kernel: LoopKernel) -> _KernelEntry:
         key = id(kernel)
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = _KernelEntry(kernel)
-            self._entries[key] = entry
-            while len(self._entries) > self.max_kernels:
-                self._entries.popitem(last=False)
-        else:
-            self._entries.move_to_end(key)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                entry = _KernelEntry(kernel)
+                self._entries[key] = entry
+                while len(self._entries) > self.max_kernels:
+                    self._entries.popitem(last=False)
+            else:
+                self._entries.move_to_end(key)
         return entry
 
 

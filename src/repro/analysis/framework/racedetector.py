@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ...ir.kernel import LoopKernel
-from ..access import AccessInfo, linearize
+from ..access import AccessInfo
 from ..dependence import Dependence, DependenceInfo, DepStatus
 from .diagnostics import Remark, Severity
 from .passmanager import AnalysisManager, AnalysisPass, register_pass
@@ -142,8 +142,7 @@ def _refine(kernel: LoopKernel, dep: Dependence) -> Race:
     """Attach a per-level distance/direction vector to one dependence."""
     depth = kernel.depth
     inner = kernel.inner_level
-    lin_src = linearize(dep.src.decl, dep.src.subscript, depth)
-    lin_sink = linearize(dep.sink.decl, dep.sink.subscript, depth)
+    lin_src, lin_sink = dep.src.linear, dep.sink.linear
     distances: list[Optional[int]] = []
     directions: list[Direction] = []
     for lvl in range(depth):

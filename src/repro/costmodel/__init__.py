@@ -6,6 +6,7 @@ from .base import (
     FittedModel,
     Sample,
     measured_speedups,
+    model_identity,
     predict_all,
     sample_from_measurement,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "FittedModel",
     "Sample",
     "measured_speedups",
+    "model_identity",
     "predict_all",
     "sample_from_measurement",
     "FEATURE_NAMES",

@@ -14,6 +14,7 @@ from typing import Optional, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from ..sim.measure import MeasuredSample
+from . import matrix
 from .featurize import feature_vector
 
 #: Floor for predicted/implied costs and speedups (guards divisions).
@@ -85,6 +86,52 @@ def predict_all(model: CostModel, samples: Sequence[Sample]) -> np.ndarray:
     if batch is not None and len(samples) > 0:
         return np.asarray(batch(samples), dtype=np.float64)
     return np.array([model.predict_speedup(s) for s in samples])
+
+
+def model_identity(model) -> tuple:
+    """Everything but the fitted weights that decides ``model``'s predictions.
+
+    The model's class and name (its label and regressor), its
+    featurization, ``clip_to_vf``, and the regressor's class and
+    hyperparameters.  A feature function enters by the key it is
+    registered under in :mod:`.matrix`; an unregistered one enters as
+    itself, so its model has no name outside this process (the engine
+    memo keeps it in memory only).  Registry entries, which carry their
+    featurization key and regressor name, describe themselves the same
+    way.  The engine memo keys fits, LOOCV sweeps and reports on this;
+    the plan-search fingerprint adds the weights.
+    """
+    featurization = getattr(model, "featurization", None)
+    feature_fn = getattr(model, "feature_fn", None)
+    if feature_fn is not None:
+        featurization = matrix.featurizer_key(feature_fn) or feature_fn
+    return (
+        _class_name(model),
+        getattr(model, "name", None),
+        featurization,
+        getattr(model, "clip_to_vf", None),
+        _hyperparameters(getattr(model, "regressor", None)),
+    )
+
+
+def _class_name(obj) -> str:
+    return f"{type(obj).__module__}.{type(obj).__qualname__}"
+
+
+def _hyperparameters(obj):
+    """A regressor's class and public attributes, a nested regressor
+    described alike (fitted state is private or ends in ``_``); any
+    other value stands for itself."""
+    if not (hasattr(obj, "fit") and hasattr(obj, "__dict__")):
+        return obj
+    return (
+        _class_name(obj),
+        tuple(
+            (k, _hyperparameters(v))
+            for k, v in sorted(vars(obj).items())
+            if not (k.startswith("_") or k.endswith("_"))
+        ),
+    )
 
 
 def measured_speedups(samples: Sequence[Sample]) -> np.ndarray:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -159,6 +159,12 @@ def register_featurizer(
     """
     _FEATURIZERS[feature_fn] = (f"X:{key}", batch)
     _FEATURIZERS_BY_KEY[key] = feature_fn
+
+
+def featurizer_key(feature_fn: Callable) -> Optional[str]:
+    """The key ``feature_fn`` is registered under, or ``None``."""
+    reg = _FEATURIZERS.get(feature_fn)
+    return reg[0].removeprefix("X:") if reg is not None else None
 
 
 def featurizer_by_key(key: str) -> Callable:

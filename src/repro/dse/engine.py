@@ -5,9 +5,10 @@ and the benchmarks call.  It layers two things over the raw drivers:
 
 * **Memoization** in :data:`SEARCHES`, keyed by (kernel fingerprint,
   model fingerprint, target, driver, seed, budget).  The model
-  fingerprint hashes the fitted weights — bumping a registry model
-  version (or refitting on new data) changes the weights and
-  invalidates every dependent search.
+  fingerprint hashes the model's identity and fitted weights — bumping
+  a registry model version (or refitting on new data) changes the
+  weights, and clipping or featurizing differently changes the
+  identity, so either invalidates every dependent search.
 * **Chaos hardening**: injected faults (``REPRO_FAULTS``) land at the
   ``dse:<kernel>`` site inside a bounded retry loop.  The fault plan's
   decisions are sha256-seeded per (site, attempt), so retries drain the
@@ -23,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..costmodel.base import model_identity
 from ..ir.kernel import LoopKernel
 from ..memo import Memo
 from ..pipeline import faultinject
@@ -45,16 +47,15 @@ dse_cache_info = SEARCHES.info
 
 
 def model_fingerprint(model) -> str:
-    """Digest of what decides a model's predictions: name + weights.
+    """Digest of what decides a model's predictions: its identity
+    (:func:`~repro.costmodel.base.model_identity`) and its weights.
 
     Works for fitted :class:`~repro.costmodel.speedup.SpeedupModel`
     instances and registry entries alike — both expose ``weights``.
     An unfitted model hashes to a distinct "unfitted" cell so it can
     never alias a fitted one.
     """
-    h = hashlib.sha256()
-    name = getattr(model, "name", None) or getattr(model, "version", None)
-    h.update(str(name or type(model).__name__).encode())
+    h = hashlib.sha256(repr(model_identity(model)).encode())
     try:
         w = getattr(model, "weights", None)
     except Exception:

@@ -27,6 +27,7 @@ import sys
 
 from ..pipeline import default_cache
 from ..settings import current, use
+from .base import ENGINE
 from .registry import EXPERIMENTS
 
 
@@ -101,19 +102,20 @@ def main(argv: list[str] | None = None) -> int:
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help="persistent measurement-cache directory "
+        help="persistent cache directory: measurements and fitted models "
         "(default: REPRO_CACHE_DIR env or ~/.cache/repro-vec)",
     )
     pipe.add_argument(
         "--no-cache",
         action="store_true",
-        help="bypass the persistent measurement cache",
+        help="bypass the persistent caches: neither read nor write "
+        "measurements or fitted models",
     )
     pipe.add_argument(
         "--clear-cache",
         action="store_true",
-        help="delete all measurement-cache entries before running "
-        "(the registry and checkpoints under the cache root stay)",
+        help="delete all cached measurements and fitted models before "
+        "running (the registry and checkpoints under the cache root stay)",
     )
     pipe.add_argument(
         "--cache-stats",
@@ -173,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
         settings = settings.replace(checkpoint_dir=settings.cache_dir / "checkpoints")
     use(settings)
     if args.clear_cache:
-        removed = default_cache().clear()
+        removed = default_cache().clear() + ENGINE.store().clear()
         print(f"[cache] cleared {removed} entries from {default_cache().root}")
 
     from .scheduler import bench_suite, run_suite
@@ -196,6 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     if args.cache_stats:
         print(f"[cache: {default_cache().stats}]")
+        print(f"[engine cache: {ENGINE.store().stats}]")
     return 0
 
 

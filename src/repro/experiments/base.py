@@ -5,19 +5,23 @@ E1–E12 share fitted models and LOOCV sweeps.  The suite fits, e.g.,
 rated-NNLS on the ARM dataset in four different drivers (E4, E5, E6,
 E7); with the memo the first caller pays and the rest reuse the
 fitted model.  The memo is :data:`ENGINE`, keyed by (dataset
-fingerprint, model name), so any change to the sample list rebuilds.
-``ENGINE.disabled()`` restores the per-driver seed behavior.
+fingerprint, model identity), so any change to the sample list or to
+what decides a model's predictions rebuilds.  Its on-disk tier at
+``<cache_dir>/engine`` hands a later process the same values, so a
+warm process refits nothing.  ``ENGINE.disabled()`` restores the
+per-driver seed behavior.
 """
 
 from __future__ import annotations
 
 import hashlib
+import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..costmodel.base import Sample, predict_all
+from ..costmodel.base import Sample, model_identity, predict_all
 from ..costmodel.linear import LinearCostModel
 from ..costmodel.llvm_like import LLVMLikeCostModel
 from ..costmodel.matrix import samples_fingerprint
@@ -25,7 +29,10 @@ from ..costmodel.rated import RatedSpeedupModel
 from ..costmodel.speedup import SpeedupModel
 from ..fitting import LeastSquares, LinearSVR, NonNegativeLeastSquares
 from ..memo import Memo
-from ..validation.loocv import loocv_predictions
+from ..pipeline.fingerprint import code_digest
+from ..settings import current
+from ..store import MISS, Store
+from ..validation.loocv import loocv_predictions, warm_svr_eligible
 from ..validation.metrics import EvalReport, evaluate
 from .reporting import ascii_table, text_scatter
 
@@ -99,19 +106,71 @@ def _regressor(method: str):
 
 # -- the engine memo ---------------------------------------------------------
 
+#: Bump when the layout of a stored engine value changes.
+ENGINE_SCHEMA = 1
+
+
+def _plain(key) -> bool:
+    """Whether ``key`` is built of values that print alike in every process."""
+    if isinstance(key, tuple):
+        return all(_plain(part) for part in key)
+    return isinstance(key, (str, int, float, type(None)))
+
+
+class EngineMemo(Memo):
+    """:class:`~repro.memo.Memo` over a non-durable store at ``<cache_dir>/engine``.
+
+    A memory miss reads the store, and a compute writes its pickled
+    value there, under the SHA-256 of the key, :func:`code_digest` and
+    :data:`ENGINE_SCHEMA`: a source edit or a layout change misses
+    instead of reading a stale value.  The ``cache`` setting
+    (``--no-cache``) turns the tier off, and so does :meth:`disabled`.
+    A key holding anything but plain values (a model with an
+    unregistered feature function) stays in memory.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._store: Optional[Store] = None
+
+    def store(self) -> Store:
+        """The tier's store under the current ``cache_dir``."""
+        root = current().cache_dir / "engine"
+        if self._store is None or self._store.root != root:
+            self._store = Store(root, schema=f"engine/{ENGINE_SCHEMA}", durable=False)
+        return self._store
+
+    def get(self, key, compute):
+        if self.enabled and current().cache and _plain(key):
+            return super().get(key, lambda: self._load(key, compute))
+        return super().get(key, compute)
+
+    def _load(self, key, compute):
+        store = self.store()
+        name = hashlib.sha256(
+            f"{ENGINE_SCHEMA}|{code_digest()}|{key!r}".encode()
+        ).hexdigest()
+        value = store.get(name, pickle.loads)
+        if value is MISS:
+            value = compute()
+            store.put(name, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+        return value
+
+
 #: Fitted models, LOOCV prediction vectors and report fragments, keyed
-#: by (kind, dataset fingerprint, model name, ...).
-ENGINE = Memo()
+#: by (kind, dataset fingerprint, model identity, ...).
+ENGINE = EngineMemo()
 
 
 def fit_cached(model, samples: Sequence[Sample]):
     """Fit ``model`` on ``samples`` — or return the already-fitted
-    model another driver produced for the same (dataset, model name).
+    model another driver (or an earlier process) produced for the same
+    dataset and model identity.
 
     The returned instance may not be the one passed in; fitted models
     are immutable after ``fit`` in this codebase, so sharing is safe.
     """
-    key = ("fit", samples_fingerprint(samples), model.name)
+    key = ("fit", samples_fingerprint(samples), model_identity(model))
     return ENGINE.get(key, lambda: model.fit(samples))
 
 
@@ -122,12 +181,18 @@ def loocv_cached(
 ) -> np.ndarray:
     """LOOCV predictions, deduped like :func:`fit_cached`.
 
-    ``stats`` receives the fast-path accounting (e.g. the SVR warm
-    certificate) whether the sweep was computed or replayed from the
-    memo.  The returned array is a private copy.
+    The key also records whether SVR folds start warm, since that
+    changes the values.  ``stats`` receives the fast-path accounting
+    (e.g. the SVR warm certificate) whether the sweep was computed or
+    replayed from the memo.  The returned array is a private copy.
     """
     probe = factory()
-    key = ("loocv", samples_fingerprint(samples), probe.name)
+    key = (
+        "loocv",
+        samples_fingerprint(samples),
+        model_identity(probe),
+        warm_svr_eligible(probe),
+    )
 
     def compute() -> tuple[np.ndarray, dict]:
         st: dict = {}
@@ -154,7 +219,7 @@ def fit_and_report(
     key = (
         "report",
         samples_fingerprint(samples),
-        model.name,
+        model_identity(model),
         fit,
         hashlib.sha1(measured.tobytes()).hexdigest(),
     )

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from ..costmodel.matrix import BUNDLES
+from ..settings import current, use
 from ..validation.loocv import svr_warm_disabled
 from .base import ENGINE, ExperimentResult
 from .dataset import ARM_LLV, X86_SLP, DatasetSpec, build_dataset
@@ -131,8 +132,9 @@ def run_suite(ids: Optional[Sequence[str]] = None) -> SuiteRun:
 @contextmanager
 def seed_mode() -> Iterator[None]:
     """Disable every engine layer at once: per-call feature stacking,
-    per-driver refits, cold SVR folds.  The benchmarks run the suite
-    under this to measure the seed path the engine replaced."""
+    per-driver refits (the engine memo's on-disk tier included), cold
+    SVR folds.  The benchmarks run the suite under this to measure the
+    seed path the engine replaced."""
     with BUNDLES.disabled(), ENGINE.disabled(), svr_warm_disabled():
         yield
 
@@ -144,7 +146,8 @@ def bench_suite(ids: Optional[Sequence[str]] = None) -> dict:
     * ``seed``: drivers under :func:`seed_mode` — the per-driver path
       the engine replaced (measurement cache warm in all passes, so
       the comparison isolates the fitting-side engine).
-    * ``engine_cold``: fresh fitting-side caches.
+    * ``engine_cold``: fresh fitting-side caches, the engine memo's
+      on-disk tier off (the ``cache`` setting), so this pass fits.
     * ``engine_warm``: same invocation again, everything memoized.
     """
     from .base import loocv_cached
@@ -157,8 +160,14 @@ def bench_suite(ids: Optional[Sequence[str]] = None) -> dict:
         seed_run = run_suite(ids)
     BUNDLES.clear()
     ENGINE.clear()
-    cold_run = run_suite(ids)
-    warm_run = run_suite(ids)
+    settings = current()
+    # The datasets are built, so only the engine's tier reads this.
+    use(settings.replace(cache=False))
+    try:
+        cold_run = run_suite(ids)
+        warm_run = run_suite(ids)
+    finally:
+        use(settings)
 
     # E12's LOOCV is objective-level equivalent (not bitwise) between
     # warm and cold folds, so seed-vs-engine table identity is only

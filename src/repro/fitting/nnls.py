@@ -9,7 +9,6 @@ have negative cost / negative speedup contribution) and, per slides
 from __future__ import annotations
 
 import numpy as np
-import scipy.optimize
 
 from .base import FitError, check_Xy
 
@@ -23,6 +22,8 @@ class NonNegativeLeastSquares:
         self._coef: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "NonNegativeLeastSquares":
+        import scipy.optimize  # here, so a process that fits nothing never loads SciPy
+
         X, y = check_Xy(X, y)
         try:
             self._coef, _ = scipy.optimize.nnls(X, y)

@@ -47,6 +47,7 @@ class ScaledRegressor:
 
     def __init__(self, inner: Regressor, with_mean: bool = True):
         self.inner = inner
+        self.with_mean = with_mean
         self.name = f"scaled-{inner.name}"
         self._scaler = StandardScaler(with_mean=with_mean)
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .base import FitError, check_Xy
 
@@ -152,6 +151,8 @@ class LinearSVR:
         maxcor: int = 10,
         gtol: float = 1e-10,
     ):
+        import scipy.optimize  # here, so a process that fits nothing never loads SciPy
+
         bounds = [(0.0, None)] * Xs.shape[1] if self.nonneg else None
         return scipy.optimize.minimize(
             self._objective,

@@ -13,7 +13,8 @@ of another consumer or store layout all fail one check.  Such a file
 renames a unique tmp file into place, so readers see the old file or
 the new one; a failed put counts in ``stats.write_errors``, leaves no
 tmp file and never raises.  A durable store also fsyncs the file before
-the rename and the directory after it.
+the rename and the directory after it.  A non-durable store is bounded:
+its first put in a process trims it to :data:`MAX_ENTRIES`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,12 @@ STORE_SCHEMA = 1
 
 #: What :meth:`Store.get` returns on a miss (a decoded ``None`` is a hit).
 MISS = object()
+
+#: Most entries a non-durable store keeps.  Keys hash the source code,
+#: so every edit orphans the old entries; the first put of a process
+#: deletes the oldest-modified ones down to this, at the cost of one
+#: directory scan.
+MAX_ENTRIES = 20_000
 
 
 @dataclass
@@ -64,6 +71,8 @@ class Store:
         self.schema = schema
         self.durable = durable
         self.stats = StoreStats()
+        #: Whether a put still has to trim a non-durable store.
+        self._untrimmed = not durable
 
     def path(self, key: str) -> Path:
         return self.root / key
@@ -95,6 +104,9 @@ class Store:
 
     def put(self, key: str, body: bytes) -> bool:
         """Install ``body`` under ``key``; ``False`` if the write failed."""
+        if self._untrimmed:
+            self._untrimmed = False
+            self.trim(MAX_ENTRIES)
         # A unique name, created with the umask's permissions (a
         # registry may be published by one user and served by another).
         name = self.root / f".{key}.{os.urandom(6).hex()}.tmp"
@@ -140,6 +152,21 @@ class Store:
                 ]
         except OSError:
             return []
+
+    def trim(self, limit: int) -> None:
+        """Delete the oldest-modified entries beyond ``limit``."""
+        keys = self.keys()
+        if len(keys) <= limit:
+            return
+        entries = []
+        for key in keys:
+            try:
+                entries.append((self.path(key).stat().st_mtime_ns, key))
+            except OSError:  # deleted under us
+                pass
+        entries.sort()
+        for _, key in entries[: max(0, len(entries) - limit)]:
+            self.delete(key)
 
     def clear(self) -> int:
         """Delete the root with everything in it; returns how many entries

@@ -30,7 +30,6 @@ from ..analysis.framework.diagnostics import Remark, Severity
 from ..analysis.framework.passmanager import AnalysisManager, default_manager
 from ..analysis.framework.passes import AccessPass, ScalarClassPass
 from ..analysis.framework.racedetector import RacePass, RaceReport
-from ..analysis.framework.ranges import BoundsCheckPass, BoundsInfo
 from ..analysis.reduction import ScalarClass, ScalarInfo
 from ..ir.kernel import LoopKernel
 from ..ir.types import DType
@@ -47,9 +46,8 @@ class Legality:
     max_safe_vf: float
     scalar_info: dict[str, ScalarInfo]
     dep_info: DependenceInfo
-    #: Structured remarks explaining the verdict: the blocking access
-    #: pair/scalar on refusal, or a bounds-proof summary when legal and
-    #: the range analysis proved every access dimension in bounds.
+    #: Structured remarks explaining a refusal: the blocking access
+    #: pair or scalar.  A legal loop has none.
     remarks: tuple[Remark, ...] = ()
 
 
@@ -150,26 +148,4 @@ def check_legality(
             )
             return fail("loop-invariant store", detail, [remark])
 
-    bounds: BoundsInfo = am.get(BoundsCheckPass, kernel)
-    notes: tuple[Remark, ...] = ()
-    if bounds.accesses and bounds.all_proven:
-        notes = (
-            Remark(
-                severity=Severity.REMARK,
-                pass_name=PASS,
-                kernel=kernel.name,
-                message=(
-                    f"all {len(bounds.accesses)} access dimensions proven "
-                    f"in bounds by range analysis "
-                    f"({bounds.gathers_proven} gather/scatter under the "
-                    "data contract)"
-                ),
-                args=(
-                    ("accesses", str(len(bounds.accesses))),
-                    ("gathers_proven", str(bounds.gathers_proven)),
-                ),
-            ),
-        )
-    return Legality(
-        True, "ok", "", races.max_safe_vf(), scalar_info, dep_info, notes
-    )
+    return Legality(True, "ok", "", races.max_safe_vf(), scalar_info, dep_info)

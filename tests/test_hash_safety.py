@@ -110,3 +110,16 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, args):
         json_out = cwd / "out.json"
         outputs.append((text, json_out.read_bytes() if json_out.exists() else None))
     assert outputs[0] == outputs[1]
+
+
+def test_engine_store_reads_alike_under_another_hash_seed(tmp_path):
+    """Fitted models and LOOCV sweeps stored under one hash seed are
+    read back under another: the warm run computes nothing and prints
+    the same bytes, timing and cache-count lines aside."""
+    args = ["-m", "repro.experiments", "E4", "E5", "--no-scatter", "--cache-stats"]
+    cold = _run(args, 1, tmp_path, tmp_path / "cache")
+    warm = _run(args, 2, tmp_path, tmp_path / "cache")
+    assert "[engine cache: 0 hits," in cold
+    assert re.search(r"^\[engine cache: \d+ hits, 0 misses, 0 stores", warm, re.M)
+    stats = re.compile(r"^\[(engine )?cache: .*\]$", re.MULTILINE)
+    assert stats.sub("", _TIMING.sub("", warm)) == stats.sub("", _TIMING.sub("", cold))

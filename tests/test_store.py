@@ -26,6 +26,7 @@ from repro.pipeline.fingerprint import measurement_fingerprint
 from repro.pipeline.resilience import PASS_NAME
 from repro.serve import ModelRegistry, RegistryError, entry_from_model
 from repro.serve.registry import CURRENT, entry_name
+from repro import store as store_mod
 from repro.store import MISS, Store
 from repro.tsvc import get_kernel
 
@@ -311,3 +312,29 @@ def test_checkpoint_entry_with_a_flipped_bit_is_remeasured(tmp_path):
     assert len(remarks) == 1
     assert "evicted 1 damaged" in remarks[0].message
     assert not checkpoint.root.exists()  # a completed sweep deletes it
+
+
+def _aged_entries(store: Store, n: int) -> None:
+    """``k0`` … ``k{n-1}``, each modified one second after the last."""
+    for i in range(n):
+        store.put(f"k{i}", b"x")
+        os.utime(store.path(f"k{i}"), ns=(i * 10**9, i * 10**9))
+
+
+def test_first_put_trims_a_non_durable_store_to_the_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(store_mod, "MAX_ENTRIES", 3)
+    _aged_entries(Store(tmp_path, schema="t", durable=False), 5)
+    fresh = Store(tmp_path, schema="t", durable=False)  # as in a new process
+    assert fresh.get("k0") == b"x"  # reads never trim
+    fresh.put("new", b"y")
+    assert sorted(fresh.keys()) == ["k2", "k3", "k4", "new"]  # oldest went
+    fresh.put("newer", b"y")  # one scan per store and process
+    assert len(fresh.keys()) == 5
+
+
+def test_durable_stores_are_never_trimmed(tmp_path, monkeypatch):
+    monkeypatch.setattr(store_mod, "MAX_ENTRIES", 3)
+    _aged_entries(Store(tmp_path, schema="t", durable=True), 5)
+    fresh = Store(tmp_path, schema="t", durable=True)
+    fresh.put("new", b"y")
+    assert len(fresh.keys()) == 6
