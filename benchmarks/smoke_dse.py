@@ -21,6 +21,10 @@ slice for the CI leg):
   (drained by the engine's bounded retry loop).  **Gated**:
   bit-identical to the unfaulted results.
 
+The memo, parity and chaos legs each start from an empty search memo
+on an empty stored tier (a fresh cache dir), so that every cold pass
+computes its searches.
+
 Exit status 1 when any gate fails, so CI can consume it directly.
 """
 
@@ -31,8 +35,10 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +51,7 @@ from repro.dse import SEARCHES, search_kernel  # noqa: E402
 from repro.experiments.base import fit_cached, make_speedup_model  # noqa: E402
 from repro.experiments.dataset import ARM_LLV, build_dataset  # noqa: E402
 from repro.pipeline.faultinject import parse_faults  # noqa: E402
+from repro.settings import current, use  # noqa: E402
 from repro.targets.registry import get_target  # noqa: E402
 from repro.tsvc.suite import all_kernels  # noqa: E402
 
@@ -91,15 +98,29 @@ def bench_regret(limit: int, seed: int) -> dict:
     }
 
 
+@contextmanager
+def _empty_tier():
+    """An empty search memo over a fresh cache dir while inside."""
+    settings = current()
+    with tempfile.TemporaryDirectory() as cache:
+        use(settings.replace(cache_dir=cache))
+        SEARCHES.clear()
+        try:
+            yield
+        finally:
+            SEARCHES.clear()
+            use(settings)
+
+
 def bench_memo(target, model, kernels) -> dict:
-    SEARCHES.clear()
-    t0 = time.perf_counter()
-    cold = [search_kernel(k, target, model) for k in kernels]
-    cold_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    warm = [search_kernel(k, target, model) for k in kernels]
-    warm_s = time.perf_counter() - t0
-    info = SEARCHES.info()
+    with _empty_tier():
+        t0 = time.perf_counter()
+        cold = [search_kernel(k, target, model) for k in kernels]
+        cold_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        warm = [search_kernel(k, target, model) for k in kernels]
+        warm_s = time.perf_counter() - t0
+        info = SEARCHES.info()
     speedup = cold_s / max(warm_s, 1e-9)
     identical = [a.to_dict() for a in cold] == [b.to_dict() for b in warm]
     return {
@@ -115,10 +136,9 @@ def bench_memo(target, model, kernels) -> dict:
 
 
 def bench_parity(target, model, kernels) -> dict:
-    SEARCHES.clear()
-    serial = [search_kernel(k, target, model).to_dict() for k in kernels]
-    SEARCHES.clear()
-    with ThreadPoolExecutor(max_workers=4) as pool:
+    with _empty_tier():
+        serial = [search_kernel(k, target, model).to_dict() for k in kernels]
+    with _empty_tier(), ThreadPoolExecutor(max_workers=4) as pool:
         parallel = list(
             pool.map(
                 lambda k: search_kernel(k, target, model).to_dict(), kernels
@@ -131,16 +151,16 @@ def bench_parity(target, model, kernels) -> dict:
 
 
 def bench_chaos(target, model, kernels) -> dict:
-    SEARCHES.clear()
-    clean = [search_kernel(k, target, model).to_dict() for k in kernels]
-    SEARCHES.clear()
+    with _empty_tier():
+        clean = [search_kernel(k, target, model).to_dict() for k in kernels]
     # 0.2 keeps the worst per-site streak inside the engine's bounded
     # retry budget even at full-suite scale (0.2^5 per site).
     plan = parse_faults("crash:0.2", seed=7)
-    faulted = [
-        search_kernel(k, target, model, faults=plan).to_dict()
-        for k in kernels
-    ]
+    with _empty_tier():
+        faulted = [
+            search_kernel(k, target, model, faults=plan).to_dict()
+            for k in kernels
+        ]
     return {
         "kernels": len(kernels),
         "fault_spec": "crash:0.2 (seed 7)",

@@ -15,7 +15,8 @@ unroll × strategy per kernel (see DESIGN.md §15):
   deterministic under a seed;
 * :mod:`.engine` scores first and measures only the points a driver
   reads, and memoizes searches on (kernel fingerprint, model
-  fingerprint, target, driver, seed) with a chaos-hardened retry loop;
+  fingerprint, target, driver, seed, budget), in memory and in the
+  cache dir, with a chaos-hardened retry loop;
 * :mod:`.experiment` is E14, the regret study (model-picked plan vs
   oracle-best vs the natural-VF default).
 """

@@ -8,13 +8,18 @@ and the benchmarks call.  It layers two things over the raw drivers:
   fingerprint hashes the model's identity and fitted weights — bumping
   a registry model version (or refitting on new data) changes the
   weights, and clipping or featurizing differently changes the
-  identity, so either invalidates every dependent search.
+  identity, so either invalidates every dependent search.  The memo is
+  a :class:`~repro.memo.StoredMemo`: a later process on the same cache
+  dir reads each search back from ``<cache_dir>/searches`` instead of
+  running it again.
 * **Chaos hardening**: injected faults (``REPRO_FAULTS``) land at the
   ``dse:<kernel>`` site inside a bounded retry loop.  The fault plan's
   decisions are sha256-seeded per (site, attempt), so retries drain the
   schedule deterministically and a faulted search converges to the
   bit-identical result of an unfaulted one — the property the chaos
-  gate in ``benchmarks/smoke_dse.py`` asserts.
+  gate in ``benchmarks/smoke_dse.py`` asserts.  A search under an
+  active fault plan neither reads nor writes the stored tier, so the
+  faults are injected, not replayed past.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 
 from ..costmodel.base import model_identity
 from ..ir.kernel import LoopKernel
-from ..memo import Memo
+from ..memo import StoredMemo
 from ..pipeline import faultinject
 from ..pipeline.faultinject import FaultPlan, InjectedFault
 from ..pipeline.fingerprint import kernel_fingerprint
@@ -39,8 +44,19 @@ from . import oracle, points as points_mod, search
 #: considered permanent (matches the sweep supervisor's default).
 MAX_ATTEMPTS = 5
 
-#: Search results, one per (kernel, model, target, driver, seed, budget).
-SEARCHES = Memo()
+#: Bump when the layout of a stored :class:`~repro.dse.search.SearchResult` changes.
+SEARCH_SCHEMA = 1
+
+
+def _search_split(key: tuple) -> tuple:
+    """A search key's group (model, target, driver, seed and budget) and
+    item (the kernel fingerprint)."""
+    return key[1:], key[0]
+
+
+#: Search results, one per (kernel, model, target, driver, seed, budget),
+#: stored at ``<cache_dir>/searches`` in batches of one group's values.
+SEARCHES = StoredMemo("searches", schema=SEARCH_SCHEMA, split=_search_split)
 
 #: The search memo's counters (``enabled``/``entries``/``hits``/``misses``).
 dse_cache_info = SEARCHES.info
@@ -143,7 +159,6 @@ def search_kernel(
         )
     plan = faults if faults is not None else current().fault_plan
     key = (
-        "dse",
         kernel_fingerprint(kernel),
         model_fingerprint(model),
         target.name,
@@ -164,4 +179,5 @@ def search_kernel(
                 last = exc
         raise last  # the schedule never drained: surface the fault
 
-    return SEARCHES.get(key, compute)
+    # A stored result would skip the faults the plan must inject.
+    return SEARCHES.get(key, compute, stored=plan is None or not plan.active)

@@ -22,10 +22,12 @@ lowered streams: one :class:`PlanSpace` per search builds each once.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
+from ..analysis.framework.passmanager import default_manager
 from ..codegen.interleave import interleave_stream, interleaved_counts
 from ..codegen.lowering import gives_answers
 from ..codegen.minstr import MStream
@@ -74,6 +76,13 @@ def base_kernel(
     return unrolled
 
 
+def _forget_kernels(bases: dict) -> None:
+    """Drop a collected space's unrolled kernels from the default analysis manager."""
+    manager = default_manager()
+    for kernel in bases.values():
+        manager.invalidate(kernel)
+
+
 def materialize_point(
     kernel: LoopKernel,
     target: Target,
@@ -112,7 +121,8 @@ class PlanSpace:
     stream object, and only one that answers differently lowers the
     recipe again.  A ``ValueError`` raised while lowering a recipe is
     kept the same way, so every point of that recipe fails alike.  A
-    space serves one search and is then dropped.
+    space serves one search and is then dropped, and its unrolled
+    kernels leave the default analysis manager with it.
     """
 
     def __init__(
@@ -130,6 +140,9 @@ class PlanSpace:
         self._bases: dict = {}
         self._plans: dict = {}
         self._streams: dict = {}
+        # The vectorizers analyse the unrolled copies with the default
+        # manager, which would keep them alive after the space is gone.
+        weakref.finalize(self, _forget_kernels, self._bases).atexit = False
 
     @cached_property
     def guard_probs(self) -> dict:

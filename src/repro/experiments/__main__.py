@@ -102,20 +102,21 @@ def main(argv: list[str] | None = None) -> int:
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help="persistent cache directory: measurements and fitted models "
-        "(default: REPRO_CACHE_DIR env or ~/.cache/repro-vec)",
+        help="persistent cache directory: measurements, fitted models and "
+        "plan searches (default: REPRO_CACHE_DIR env or ~/.cache/repro-vec)",
     )
     pipe.add_argument(
         "--no-cache",
         action="store_true",
         help="bypass the persistent caches: neither read nor write "
-        "measurements or fitted models",
+        "measurements, fitted models or plan searches",
     )
     pipe.add_argument(
         "--clear-cache",
         action="store_true",
-        help="delete all cached measurements and fitted models before "
-        "running (the registry and checkpoints under the cache root stay)",
+        help="delete all cached measurements, fitted models and plan "
+        "searches before running (the registry and checkpoints under the "
+        "cache root stay)",
     )
     pipe.add_argument(
         "--cache-stats",
@@ -175,7 +176,9 @@ def main(argv: list[str] | None = None) -> int:
         settings = settings.replace(checkpoint_dir=settings.cache_dir / "checkpoints")
     use(settings)
     if args.clear_cache:
-        removed = default_cache().clear() + ENGINE.store().clear()
+        from ..dse import SEARCHES
+
+        removed = default_cache().clear() + ENGINE.store().clear() + SEARCHES.store().clear()
         print(f"[cache] cleared {removed} entries from {default_cache().root}")
 
     from .scheduler import bench_suite, run_suite
@@ -197,8 +200,13 @@ def main(argv: list[str] | None = None) -> int:
         f"(dataset builds {run.build_s:.1f}s)]"
     )
     if args.cache_stats:
+        from ..dse import SEARCHES
+
+        ENGINE.flush()  # so the counts include this run's writes
+        SEARCHES.flush()
         print(f"[cache: {default_cache().stats}]")
         print(f"[engine cache: {ENGINE.store().stats}]")
+        print(f"[search cache: {SEARCHES.store().stats}]")
     return 0
 
 

@@ -6,7 +6,8 @@ rated-NNLS on the ARM dataset in four different drivers (E4, E5, E6,
 E7); with the memo the first caller pays and the rest reuse the
 fitted model.  The memo is :data:`ENGINE`, keyed by (dataset
 fingerprint, model identity), so any change to the sample list or to
-what decides a model's predictions rebuilds.  Its on-disk tier at
+what decides a model's predictions rebuilds.  It is a
+:class:`~repro.memo.StoredMemo`: its on-disk tier at
 ``<cache_dir>/engine`` hands a later process the same values, so a
 warm process refits nothing.  ``ENGINE.disabled()`` restores the
 per-driver seed behavior.
@@ -15,7 +16,6 @@ per-driver seed behavior.
 from __future__ import annotations
 
 import hashlib
-import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -28,10 +28,7 @@ from ..costmodel.matrix import samples_fingerprint
 from ..costmodel.rated import RatedSpeedupModel
 from ..costmodel.speedup import SpeedupModel
 from ..fitting import LeastSquares, LinearSVR, NonNegativeLeastSquares
-from ..memo import Memo
-from ..pipeline.fingerprint import code_digest
-from ..settings import current
-from ..store import MISS, Store
+from ..memo import StoredMemo
 from ..validation.loocv import loocv_predictions, warm_svr_eligible
 from ..validation.metrics import EvalReport, evaluate
 from .reporting import ascii_table, text_scatter
@@ -107,59 +104,19 @@ def _regressor(method: str):
 # -- the engine memo ---------------------------------------------------------
 
 #: Bump when the layout of a stored engine value changes.
-ENGINE_SCHEMA = 1
+ENGINE_SCHEMA = 2
 
 
-def _plain(key) -> bool:
-    """Whether ``key`` is built of values that print alike in every process."""
-    if isinstance(key, tuple):
-        return all(_plain(part) for part in key)
-    return isinstance(key, (str, int, float, type(None)))
-
-
-class EngineMemo(Memo):
-    """:class:`~repro.memo.Memo` over a non-durable store at ``<cache_dir>/engine``.
-
-    A memory miss reads the store, and a compute writes its pickled
-    value there, under the SHA-256 of the key, :func:`code_digest` and
-    :data:`ENGINE_SCHEMA`: a source edit or a layout change misses
-    instead of reading a stale value.  The ``cache`` setting
-    (``--no-cache``) turns the tier off, and so does :meth:`disabled`.
-    A key holding anything but plain values (a model with an
-    unregistered feature function) stays in memory.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._store: Optional[Store] = None
-
-    def store(self) -> Store:
-        """The tier's store under the current ``cache_dir``."""
-        root = current().cache_dir / "engine"
-        if self._store is None or self._store.root != root:
-            self._store = Store(root, schema=f"engine/{ENGINE_SCHEMA}", durable=False)
-        return self._store
-
-    def get(self, key, compute):
-        if self.enabled and current().cache and _plain(key):
-            return super().get(key, lambda: self._load(key, compute))
-        return super().get(key, compute)
-
-    def _load(self, key, compute):
-        store = self.store()
-        name = hashlib.sha256(
-            f"{ENGINE_SCHEMA}|{code_digest()}|{key!r}".encode()
-        ).hexdigest()
-        value = store.get(name, pickle.loads)
-        if value is MISS:
-            value = compute()
-            store.put(name, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-        return value
+def _engine_split(key: tuple) -> tuple:
+    """An engine key's group, the samples fingerprint, and its item, the rest."""
+    kind, fingerprint, *rest = key
+    return fingerprint, (kind, *rest)
 
 
 #: Fitted models, LOOCV prediction vectors and report fragments, keyed
-#: by (kind, dataset fingerprint, model identity, ...).
-ENGINE = EngineMemo()
+#: by (kind, dataset fingerprint, model identity, ...) and stored at
+#: ``<cache_dir>/engine`` in batches of one dataset's values.
+ENGINE = StoredMemo("engine", schema=ENGINE_SCHEMA, split=_engine_split)
 
 
 def fit_cached(model, samples: Sequence[Sample]):

@@ -269,9 +269,7 @@ def measure_suite(
     if pending:
         width = resolve_workers(workers, pending=len(pending))
         # Only sweep kinds need a pool; a serve-only plan faults nothing here.
-        faults_active = faults is not None and any(
-            faults.rate(kind) > 0 for kind in faultinject.FAULT_KINDS
-        )
+        faults_active = faults is not None and faults.active
         use_pool = timeout is not None or (faults_active and width > 1)
 
         def on_complete(name: str, payload: Payload) -> None:

@@ -121,6 +121,12 @@ class FaultPlan:
     def rate(self, kind: str) -> float:
         return float(self.rates.get(kind, 0.0))
 
+    @property
+    def active(self) -> bool:
+        """Whether the plan injects any sweep fault (:data:`FAULT_KINDS`);
+        a plan of serve kinds only faults nothing a sweep or search does."""
+        return any(self.rate(kind) > 0 for kind in FAULT_KINDS)
+
     def decide(self, kind: str, kernel: str, attempt: int) -> bool:
         """Does ``kind`` fire for this (kernel, attempt) cell?"""
         rate = self.rate(kind)

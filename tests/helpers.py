@@ -33,3 +33,30 @@ def assert_buffers_close(a, b, rtol=2e-4, atol=1e-5, context=""):
             atol=atol,
             err_msg=f"{context}: array {name!r} diverged",
         )
+
+
+#: A process that searches the first ``argv[1]`` suite kernels with the
+#: ``verified`` driver and prints, as JSON, how many searches it ran
+#: (``_search_once`` calls) and every result's ``to_dict()``.
+SEARCH_SCRIPT = r"""
+import json, sys
+from repro.costmodel.speedup import SpeedupModel
+from repro.dse import engine, search_kernel
+from repro.fitting.nnls import NonNegativeLeastSquares
+from repro.serve.chaos import suite_payloads
+from repro.targets import ARMV8_NEON
+from repro.tsvc import all_kernels
+
+computed = []
+_search_once = engine._search_once
+
+def counted(kernel, *args):
+    computed.append(kernel.name)
+    return _search_once(kernel, *args)
+
+engine._search_once = counted
+model = SpeedupModel(NonNegativeLeastSquares()).fit([s for _, _, s in suite_payloads(12)])
+kernels = list(all_kernels())[: int(sys.argv[1])]
+results = [search_kernel(k, ARMV8_NEON, model, driver="verified").to_dict() for k in kernels]
+print(json.dumps({"computed": len(computed), "results": results}))
+"""

@@ -37,6 +37,7 @@ from repro.fitting.nnls import NonNegativeLeastSquares
 from repro.ir.stmt import IfBlock
 from repro.pipeline.faultinject import parse_faults
 from repro.serve.chaos import suite_payloads
+from repro.settings import current, use
 from repro.targets import ARMV8_NEON, X86_AVX2
 from repro.tsvc import all_kernels
 from repro.vectorize.plan import (
@@ -53,7 +54,10 @@ SUITE = list(all_kernels(dims=SMALL))
 
 
 @pytest.fixture(autouse=True)
-def _fresh_cache():
+def _fresh_cache(tmp_path):
+    """An empty search memo on a private cache dir, so that no search
+    another test stored is read back where this one counts computations."""
+    use(current().replace(cache_dir=tmp_path))
     SEARCHES.clear()
     yield
     SEARCHES.clear()

@@ -12,6 +12,7 @@ engine-cold pass) bypasses it.
 from __future__ import annotations
 
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -134,20 +135,33 @@ class TestModelIdentity:
         assert second.to_dict() == fresh.to_dict() != first.to_dict()
 
 
+def _batches(root: Path) -> dict[str, dict]:
+    """Every verified batch under a stored memo's ``root``, by file name."""
+    store = ENGINE.store(root)
+    return {p.name: store.get(p.name, pickle.loads) for p in sorted(root.iterdir())}
+
+
 class TestStoreTier:
-    def test_corrupt_entries_are_evicted_and_recomputed(self, engine_dir):
+    def test_corrupt_entries_are_evicted_and_recomputed(self, engine_dir, fits):
         tables = run_suite(["E3"]).tables_text()
-        entries = sorted(engine_dir.iterdir())
-        for path in entries:
+        ENGINE.flush()
+        entries = _batches(engine_dir)
+        assert entries and MISS not in entries.values()
+        for name in entries:
+            path = engine_dir / name
             data = bytearray(path.read_bytes())
             data[-1] ^= 0x01
             path.write_bytes(bytes(data))
         ENGINE.clear()
+        fits.clear()
         assert run_suite(["E3"]).tables_text() == tables
+        assert fits  # the evicted values were computed again
         store = ENGINE.store()
         assert store.stats.corrupt == len(entries)
-        assert sorted(engine_dir.iterdir()) == entries  # rewritten, and they verify
-        assert all(store.get(p.name) is not MISS for p in entries)
+        ENGINE.flush()
+        rewritten = _batches(engine_dir)  # every one verifies
+        assert not set(rewritten) & set(entries)  # the torn files are gone
+        assert sorted(map(sorted, rewritten.values())) == sorted(map(sorted, entries.values()))
         assert store.stats.corrupt == len(entries)
 
     def test_no_cache_neither_reads_nor_writes_the_engine_store(
@@ -155,22 +169,31 @@ class TestStoreTier:
     ):
         args = ["E3", "--no-scatter", "--cache-dir", str(tmp_path)]
         assert main(args) == 0
+        ENGINE.flush()
         filled = {p.name: p.stat().st_mtime_ns for p in engine_dir.iterdir()}
+        assert filled
         ENGINE.clear()
         fits.clear()
         assert main([*args, "--no-cache"]) == 0
         assert fits  # nothing was read
+        ENGINE.flush()
         assert {p.name: p.stat().st_mtime_ns for p in engine_dir.iterdir()} == filled
 
     def test_clear_cache_empties_the_engine_store(self, tmp_path, engine_dir, fits, capsys):
         args = ["E3", "--no-scatter", "--cache-dir", str(tmp_path)]
         assert main(args) == 0
+        ENGINE.flush()
+        first = _batches(engine_dir)
         ENGINE.clear()
         fits.clear()
         assert main([*args, "--clear-cache", "--cache-stats"]) == 0
         assert fits  # the stored fits were gone
-        assert len(list(engine_dir.iterdir())) == 5
-        assert "[engine cache: " in capsys.readouterr().out
+        # --cache-stats writes this run's values first: only they are stored.
+        batches = _batches(engine_dir)
+        assert not set(batches) & set(first)
+        assert sum(len(batch) for batch in batches.values()) == 5
+        out = capsys.readouterr().out
+        assert "[engine cache: " in out and "[search cache: " in out
 
     def test_seed_mode_and_disabled_memo_bypass_the_store(self, engine_dir, samples):
         with seed_mode():
@@ -190,6 +213,7 @@ class TestStoreTier:
 
     def test_bench_engine_cold_pass_fits_despite_a_filled_store(self, engine_dir, fits):
         run_suite(["E2"])
+        ENGINE.flush()
         assert engine_dir.exists()
         ENGINE.clear()
         fits.clear()

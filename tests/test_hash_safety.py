@@ -11,6 +11,7 @@ different hash seeds.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -18,6 +19,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from tests.helpers import SEARCH_SCRIPT
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -123,3 +126,14 @@ def test_engine_store_reads_alike_under_another_hash_seed(tmp_path):
     assert re.search(r"^\[engine cache: \d+ hits, 0 misses, 0 stores", warm, re.M)
     stats = re.compile(r"^\[(engine )?cache: .*\]$", re.MULTILINE)
     assert stats.sub("", _TIMING.sub("", warm)) == stats.sub("", _TIMING.sub("", cold))
+
+
+def test_search_store_reads_alike_under_another_hash_seed(tmp_path):
+    """Searches stored under one hash seed are read back under another:
+    the second process runs no search and returns equal results."""
+    args = ["-c", SEARCH_SCRIPT, "8"]
+    cold = json.loads(_run(args, 1, tmp_path, tmp_path / "cache"))
+    warm = json.loads(_run(args, 2, tmp_path, tmp_path / "cache"))
+    assert cold["computed"] == 8
+    assert warm["computed"] == 0
+    assert warm["results"] == cold["results"]

@@ -1,7 +1,11 @@
-"""The one in-process memo: counts, LRU order, identity keys, the
-disabled mode, failed computations and single-flight."""
+"""The one memo mechanism: counts, LRU order, identity keys, the
+disabled mode, failed computations and single-flight; and the stored
+tier (batches, groups, bypasses, forks)."""
 
 import gc
+import os
+import pickle
+import signal
 import sys
 import threading
 import time
@@ -9,7 +13,9 @@ import weakref
 
 import pytest
 
-from repro.memo import Identity, Memo
+from repro.memo import BATCH, Identity, Memo, StoredMemo
+from repro.settings import current, use
+from repro.store import Store
 
 
 class Obj:
@@ -188,3 +194,117 @@ def test_stress_every_key_computed_once_and_every_call_counted():
     assert info["misses"] == n_keys
     assert info["hits"] + info["misses"] == n_threads * calls_each
     assert memo._pending == {}
+
+
+# -- the stored tier -----------------------------------------------------------
+
+
+def _split(key):
+    """Keys are ``(group, item)`` pairs."""
+    return key
+
+
+@pytest.fixture
+def stored(tmp_path):
+    """A stored memo on a private cache dir."""
+    use(current().replace(cache_dir=tmp_path))
+    return StoredMemo("scratch", schema=1, split=_split)
+
+
+def _batches(root):
+    store = Store(root, schema="scratch/1", durable=False)
+    names = sorted(store.keys())
+    return [store.get(name, pickle.loads) for name in names]
+
+
+def test_values_wait_for_a_full_batch_or_a_flush(stored, tmp_path):
+    root = tmp_path / "scratch"
+    for i in range(BATCH - 1):
+        stored.get(("g", i), lambda i=i: i * i)
+    assert not root.exists()
+    stored.get(("h", 0), lambda: "h0")  # the BATCH-th unwritten value
+    batches = _batches(root)
+    assert len(batches) == 2  # one entry per group
+    assert {len(b) for b in batches} == {BATCH - 1, 1}
+    stored.get(("g", "late"), lambda: "late")
+    stored.flush()
+    assert len(_batches(root)) == 3
+    stored.flush()  # nothing left to write
+    assert len(_batches(root)) == 3
+
+
+def test_a_group_is_read_once_and_reads_count_as_hits(stored, monkeypatch):
+    stored.get(("g", 1), lambda: "one")
+    stored.get(("g", 2), lambda: "two")
+    stored.get(("other", 1), lambda: "other")
+    stored.flush()
+    stored.clear()
+    loads = []
+    real = StoredMemo._load
+    monkeypatch.setattr(StoredMemo, "_load", lambda self, *a: loads.append(a[1]) or real(self, *a))
+    assert stored.get(("g", 1), lambda: "recomputed") == "one"
+    assert stored.get(("g", 2), lambda: "recomputed") == "two"
+    assert stored.get(("g", 3), lambda: "three") == "three"
+    assert loads == ["g"]
+    assert stored.info() == {"enabled": True, "entries": 3, "hits": 2, "misses": 1}
+
+
+def test_each_value_goes_to_the_cache_dir_it_was_computed_under(stored, tmp_path):
+    stored.get(("g", 1), lambda: "first")
+    use(current().replace(cache_dir=tmp_path / "elsewhere"))
+    stored.get(("g", 2), lambda: "second")
+    stored.flush()
+    assert _batches(tmp_path / "scratch") == [{1: "first"}]
+    assert _batches(tmp_path / "elsewhere" / "scratch") == [{2: "second"}]
+
+
+def test_clear_forgets_unwritten_values(stored, tmp_path):
+    stored.get(("g", 1), lambda: 1)
+    stored.clear()
+    stored.flush()
+    assert not (tmp_path / "scratch").exists()
+
+
+def test_what_bypasses_the_tier(stored, tmp_path):
+    stored.get(("g", 1), lambda: 1, stored=False)
+    stored.get(("g", object()), lambda: 2)  # no name outside the process
+    with stored.disabled():
+        stored.get(("g", 3), lambda: 3)
+    use(current().replace(cache=False))
+    stored.get(("g", 4), lambda: 4)
+    stored.flush()
+    assert not (tmp_path / "scratch").exists()
+    assert stored.info()["misses"] == 3  # the disabled call is not counted
+
+
+def test_a_source_edit_misses_the_old_batches(stored, monkeypatch):
+    from repro.pipeline import fingerprint
+
+    stored.get(("g", 1), lambda: "old")
+    stored.flush()
+    stored.clear()
+    monkeypatch.setattr(fingerprint, "_CODE_DIGEST", "edited")
+    assert stored.get(("g", 1), lambda: "new") == "new"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_writes_none_of_its_parents_values(stored, tmp_path):
+    stored.get(("g", "parent"), lambda: "parent")
+    pid = os.fork()
+    if pid == 0:  # the child: compute one value of its own and write
+        try:
+            stored.get(("g", "child"), lambda: "child")
+            stored.flush()
+        finally:
+            os._exit(0)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not exit")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+    assert _batches(tmp_path / "scratch") == [{"child": "child"}]
+    stored.flush()
+    assert sorted(map(sorted, _batches(tmp_path / "scratch"))) == [["child"], ["parent"]]
