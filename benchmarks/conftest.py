@@ -1,19 +1,15 @@
-"""Shared fixtures for the benchmark harness.
-
-Each ``bench_e*.py`` regenerates one paper figure (see DESIGN.md §4):
-the benchmarked callable recomputes the figure's modelling work, and
-the bench prints the figure's table once so running
+"""Shared fixtures for the micro and ablation benches.
 
     pytest benchmarks/ --benchmark-only -s
 
-reproduces every row/series the paper reports alongside the timings.
+times them and prints each ablation's table once.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments import ARM_LLV, X86_SLP, build_dataset
+from repro.experiments import ARM_LLV, build_dataset
 
 
 @pytest.fixture(scope="session")
@@ -22,17 +18,11 @@ def arm_dataset():
     return build_dataset(ARM_LLV)
 
 
-@pytest.fixture(scope="session")
-def x86_dataset():
-    """TSVC × x86-AVX2 measurement sweep (unroll+SLP), cached per session."""
-    return build_dataset(X86_SLP)
-
-
 _printed: set[str] = set()
 
 
 def print_once(key: str, text: str) -> None:
-    """Print a figure's table a single time per session."""
+    """Print a table a single time per session."""
     if key not in _printed:
         _printed.add(key)
         print(f"\n{text}\n")

@@ -4,10 +4,12 @@ The package turns the fitted speedup models into a *cost oracle* for a
 search over the whole optimization-plan space — VF × interleave ×
 unroll × strategy per kernel (see DESIGN.md §15):
 
-* :mod:`.points` materializes and measures plan points
+* :mod:`.points` measures plan points
   (:class:`~repro.vectorize.plan.PlanPoint`) through the analytic
   pipeline (unroll → vectorize → lower → interleave → time), each
-  recipe built once per search in a :class:`~.points.PlanSpace`;
+  recipe built once per search in a
+  :class:`~repro.sim.measure.PlanSpace`, the code that measures every
+  dataset sample too;
 * :mod:`.oracle` scores an entire candidate set in one batched
   featurize+predict through the shared matrix cache;
 * :mod:`.search` holds the drivers — exhaustive, greedy hill-climbing,
@@ -21,9 +23,10 @@ unroll × strategy per kernel (see DESIGN.md §15):
   oracle-best vs the natural-VF default).
 """
 
+from ..sim.measure import materialize_point
 from .engine import SEARCHES, dse_cache_info, model_fingerprint, search_kernel
 from .oracle import candidate_samples, pick_best, score_points
-from .points import PointMeasurement, materialize_point, measure_points
+from .points import PointMeasurement, measure_points
 from .search import SearchResult
 
 __all__ = [

@@ -36,6 +36,7 @@ from ..pipeline import faultinject
 from ..pipeline.faultinject import FaultPlan, InjectedFault
 from ..pipeline.fingerprint import kernel_fingerprint
 from ..settings import current
+from ..sim.measure import PlanSpace
 from ..targets.base import Target
 from ..vectorize.plan import enumerate_plan_points
 from . import oracle, points as points_mod, search
@@ -92,17 +93,17 @@ def _search_once(
     seed: int,
     budget: int,
     manager,
-    space: Optional[points_mod.PlanSpace],
+    space: Optional[PlanSpace],
 ) -> search.SearchResult:
     """One search: score first, then measure only what the driver reads.
 
-    Scoring and measurement share one :class:`~repro.dse.points.PlanSpace`
+    Scoring and measurement share one :class:`~repro.sim.measure.PlanSpace`
     (the caller's, else a new one), so each recipe is vectorized once
     and lowered at most once per target.
     """
     points = enumerate_plan_points(kernel, target, manager=manager)
     if space is None:
-        space = points_mod.PlanSpace(kernel, target)
+        space = PlanSpace(kernel, target)
 
     def measure(indices: list[int]) -> list[float]:
         measured = points_mod.measure_points(
@@ -143,11 +144,11 @@ def search_kernel(
     budget: int = 0,
     manager=None,
     faults: Optional[FaultPlan] = None,
-    space: Optional[points_mod.PlanSpace] = None,
+    space: Optional[PlanSpace] = None,
 ) -> search.SearchResult:
     """Search one kernel's plan space, memoized and chaos-hardened.
 
-    ``space`` is a :class:`~repro.dse.points.PlanSpace` of ``kernel``
+    ``space`` is a :class:`~repro.sim.measure.PlanSpace` of ``kernel``
     on ``target`` (guard seed 0) to build the plans in, so that several
     searches of one kernel, and whoever measures its points next, share
     each recipe's plan and streams.  It changes no result, so it is not

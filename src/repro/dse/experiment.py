@@ -39,11 +39,12 @@ import numpy as np
 from ..costmodel.base import EPS
 from ..experiments.base import ExperimentResult, fit_cached, make_speedup_model
 from ..experiments.dataset import ARM_LLV, build_dataset
+from ..sim.measure import PlanSpace
 from ..targets.registry import get_target
 from ..tsvc.suite import all_kernels
 from .engine import search_kernel
 from .oracle import default_index
-from .points import PlanSpace, measure_points
+from .points import measure_points
 
 #: Drivers compared per kernel; "exhaustive" is the pure-model arm,
 #: "verified" the deployable model-pruned/measured one.

@@ -14,9 +14,9 @@ Scalar points are pinned to exactly 1.0 outside the batch (their
 speedup is 1.0 by definition, not a prediction); points that fail to
 materialize score 0.0 so they can never win.  The scalar lowering and
 each recipe's ``GENERIC_IR`` stream come from the search's
-:class:`~repro.dse.points.PlanSpace`, which measurement reads too.  An
+:class:`~repro.sim.measure.PlanSpace`, which measurement reads too.  An
 interleaved point's features are its base stream's class counts summed
-over ``ic`` copies (:meth:`~repro.dse.points.PlanSpace.counts`): the
+over ``ic`` copies (:meth:`~repro.sim.measure.PlanSpace.counts`): the
 oracle never builds an interleaved stream.
 """
 
@@ -29,10 +29,10 @@ import numpy as np
 from ..costmodel.base import Sample
 from ..costmodel.featurize import counts_vector, feature_vector
 from ..ir.kernel import LoopKernel
+from ..sim.measure import PlanSpace
 from ..targets.base import Target
 from ..targets.generic_ir import GENERIC_IR
 from ..vectorize.plan import PlanPoint, is_plan
-from .points import PlanSpace
 
 
 def candidate_samples(
@@ -40,8 +40,6 @@ def candidate_samples(
     target: Target,
     points: Sequence[PlanPoint],
     *,
-    guard_probs: Optional[dict] = None,
-    seed: int = 0,
     space: Optional[PlanSpace] = None,
 ) -> tuple[list[Sample], list[int]]:
     """Pseudo-samples for the vector points of a candidate set.
@@ -50,10 +48,10 @@ def candidate_samples(
     in ``points`` that ``samples[i]`` scores; scalar points and points
     that do not materialize are absent.  ``space`` is the search's
     plan space for this kernel and target; without one a private
-    space is built from ``guard_probs`` and ``seed``.
+    space is built.
     """
     if space is None:
-        space = PlanSpace(kernel, target, guard_probs=guard_probs, seed=seed)
+        space = PlanSpace(kernel, target)
     scalar_features = feature_vector(space.scalar_stream)
     samples: list[Sample] = []
     indices: list[int] = []
@@ -101,8 +99,6 @@ def score_points(
     points: Sequence[PlanPoint],
     model,
     *,
-    guard_probs: Optional[dict] = None,
-    seed: int = 0,
     space: Optional[PlanSpace] = None,
 ) -> np.ndarray:
     """Model-predicted speedup per point, one batched predict.
@@ -115,10 +111,7 @@ def score_points(
     for i, p in enumerate(points):
         if p.is_scalar:
             scores[i] = 1.0
-    samples, indices = candidate_samples(
-        kernel, target, points, guard_probs=guard_probs, seed=seed,
-        space=space,
-    )
+    samples, indices = candidate_samples(kernel, target, points, space=space)
     if samples:
         preds = np.asarray(model.predict_batch(samples), dtype=np.float64)
         scores[indices] = preds
@@ -130,8 +123,6 @@ def score_points_entry(
     target: Target,
     points: Sequence[PlanPoint],
     entry,
-    *,
-    guard_probs: Optional[dict] = None,
 ) -> np.ndarray:
     """Like :func:`score_points` but through a registry
     :class:`~repro.serve.registry.ModelEntry`: the entry names its
@@ -143,9 +134,7 @@ def score_points_entry(
     for i, p in enumerate(points):
         if p.is_scalar:
             scores[i] = 1.0
-    samples, indices = candidate_samples(
-        kernel, target, points, guard_probs=guard_probs
-    )
+    samples, indices = candidate_samples(kernel, target, points)
     if samples:
         feature_fn = matrix.featurizer_by_key(entry.featurization)
         X = matrix.design_matrix(samples, feature_fn)

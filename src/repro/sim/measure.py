@@ -8,16 +8,30 @@ optional deterministic measurement jitter.
 
 It stands in for the paper's hardware runs: TSVC compiled twice (with
 and without the vectorizer) and timed on the ARMv8 / x86 machines.
+
+One :class:`PlanSpace` per kernel and target is the only code that
+lowers and times a plan.  A :class:`~repro.vectorize.plan.PlanPoint`
+names a transformation recipe — pre-vectorization unroll
+(:mod:`repro.vectorize.unroll`), the LLV or SLP vectorizer, machine
+lowering and the interleave stream transform — and the space builds
+each recipe once.  :func:`measure_plan` times a plan it is given as
+its recipe's interleave-1 point, and a plan search scores and
+measures the points of one space.  The scalar baseline is always the
+*original* kernel, so every point's speedup is comparable.
 """
 
 from __future__ import annotations
 
+import weakref
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
 
+from ..analysis.framework.passmanager import default_manager
+from ..codegen.interleave import interleave_stream, interleaved_counts
 from ..codegen.lowering import gives_answers
 from ..codegen.minstr import MStream
 from ..codegen.scalar_gen import lower_scalar
@@ -27,9 +41,12 @@ from ..ir.kernel import LoopKernel
 from ..ir.stmt import IfBlock
 from ..memo import Memo
 from ..targets.base import Target
+from ..targets.classes import IClass
 from ..targets.generic_ir import GENERIC_IR
 from ..vectorize.llv import vectorize_loop
-from ..vectorize.plan import VectorizationFailure, VectorizationPlan
+from ..vectorize.plan import PlanPoint, VectorizationFailure, VectorizationPlan
+from ..vectorize.slp import slp_vectorize
+from ..vectorize.unroll import UnrollError, unroll
 from .executor import count_guards, guards_read_inputs_only, make_buffers, run_scalar
 from .timing import CycleBreakdown, analyze_stream
 
@@ -117,6 +134,186 @@ def apply_jitter(value: float, rng: np.random.Generator, sigma: float) -> float:
     return value * (1.0 + eps)
 
 
+def _vectorize(
+    kernel: LoopKernel, target: Target, vf: Optional[int], vectorizer: str
+) -> Union[VectorizationPlan, VectorizationFailure]:
+    """Run the ``vectorizer`` ("llv" or "slp") on ``kernel``."""
+    if vectorizer == "llv":
+        return vectorize_loop(kernel, target, vf)
+    if vectorizer == "slp":
+        return slp_vectorize(kernel, target, vf)
+    raise ValueError(f"unknown vectorizer {vectorizer!r}")
+
+
+def base_kernel(
+    kernel: LoopKernel, u: int, bases: Optional[dict] = None
+) -> LoopKernel:
+    """``kernel`` unrolled by ``u`` (cached in ``bases`` across points)."""
+    if u == 1:
+        return kernel
+    if bases is not None and u in bases:
+        return bases[u]
+    unrolled = unroll(kernel, u)
+    if bases is not None:
+        bases[u] = unrolled
+    return unrolled
+
+
+def _forget_kernels(bases: dict) -> None:
+    """Drop a collected space's unrolled kernels from the default analysis manager."""
+    manager = default_manager()
+    for kernel in bases.values():
+        manager.invalidate(kernel)
+
+
+def materialize_point(
+    kernel: LoopKernel,
+    target: Target,
+    point: PlanPoint,
+    *,
+    bases: Optional[dict] = None,
+) -> Union[VectorizationPlan, VectorizationFailure, None]:
+    """Run the point's recipe through the real vectorizers.
+
+    Returns ``None`` for the scalar point, a plan when the recipe
+    applies, and the vectorizer's :class:`VectorizationFailure` when it
+    refuses — enumeration is expected to have pruned those, but the
+    search degrades per-point instead of trusting that.
+    """
+    if point.is_scalar:
+        return None
+    try:
+        base = base_kernel(kernel, point.unroll, bases)
+    except UnrollError as exc:
+        return VectorizationFailure(kernel, "unroll", str(exc))
+    return _vectorize(base, target, point.vf, point.strategy)
+
+
+class PlanSpace:
+    """One kernel's plan recipes on one target, each built at most once.
+
+    Every piece is computed on first use and kept: the guard
+    probabilities at the space's seed, the scalar lowering and its
+    timing, each vector recipe's plan (:func:`materialize_point`, or
+    one handed in by :meth:`install`), and each recipe's base streams.
+    A base stream is kept with the answers its lowering read from the
+    target (``MStream.target_answers``), not under a target name: a
+    lowering target that gives the same answers (``GENERIC_IR`` for
+    scoring and the IR-level view, the machine target for timing) gets
+    the same stream object, and only one that answers differently
+    lowers the recipe again.  A ``ValueError`` raised while lowering a
+    recipe is kept the same way, so every point of that recipe fails
+    alike.  A space serves one measurement or search and is then
+    dropped, and its unrolled kernels leave the default analysis
+    manager with it.
+    """
+
+    def __init__(self, kernel: LoopKernel, target: Target, *, seed: int = 0) -> None:
+        self.kernel = kernel
+        self.target = target
+        self._seed = seed
+        self._bases: dict = {}
+        self._plans: dict = {}
+        self._streams: dict = {}
+        # The vectorizers analyse the unrolled copies with the default
+        # manager, which would keep them alive after the space is gone.
+        weakref.finalize(self, _forget_kernels, self._bases).atexit = False
+
+    @cached_property
+    def guard_probs(self) -> dict:
+        return estimate_guard_probs(self.kernel, seed=self._seed)
+
+    @cached_property
+    def scalar_stream(self) -> MStream:
+        return lower_scalar(self.kernel, self.target, guard_probs=self.guard_probs)
+
+    @cached_property
+    def scalar_timing(self) -> CycleBreakdown:
+        return analyze_stream(self.scalar_stream, self.target)
+
+    def install(self, plan: VectorizationPlan) -> PlanPoint:
+        """Take ``plan``, a plan of the space's kernel, as its recipe's
+        plan instead of vectorizing again; returns its interleave-1
+        point."""
+        self._plans[(plan.kind, plan.vf, 1)] = plan
+        return PlanPoint(plan.vf, 1, 1, plan.kind, self.target.name)
+
+    def plan(
+        self, point: PlanPoint
+    ) -> Union[VectorizationPlan, VectorizationFailure, None]:
+        """:func:`materialize_point` of the point's recipe."""
+        key = (point.strategy, point.vf, point.unroll)
+        if key not in self._plans:
+            self._plans[key] = materialize_point(
+                self.kernel, self.target, point, bases=self._bases
+            )
+        return self._plans[key]
+
+    def _base_stream(self, point: PlanPoint, lowering: Target) -> MStream:
+        """The recipe's stream before interleaving, lowered once per set
+        of target answers."""
+        lowered = self._streams.setdefault(
+            (point.strategy, point.vf, point.unroll), []
+        )
+        for base in lowered:
+            # An error raised before the lowering read the target
+            # carries no answers, and holds for every target.
+            if gives_answers(lowering, getattr(base, "target_answers", {})):
+                break
+        else:
+            plan = self.plan(point)
+            try:
+                if plan.kind == "slp":
+                    base = lower_slp(plan, lowering, self._plan_guard_probs(plan))
+                else:
+                    base = lower_vector(plan, lowering)
+            except ValueError as exc:
+                base = exc
+            lowered.append(base)
+        if isinstance(base, ValueError):
+            raise base
+        return base
+
+    def _plan_guard_probs(self, plan: VectorizationPlan) -> dict:
+        """Guard probabilities of the kernel ``plan`` vectorizes, at the
+        space's seed: the space's own for the kernel itself, a fresh
+        estimate for an unrolled copy (its guards are numbered anew)."""
+        if plan.kernel is self.kernel:
+            return self.guard_probs
+        return estimate_guard_probs(plan.kernel, seed=self._seed)
+
+    def stream(self, point: PlanPoint, lowering: Target) -> MStream:
+        """The vector point's stream lowered for ``lowering``.
+
+        The point must materialize (``is_plan(self.plan(point))``).
+        Raises ``ValueError`` when the recipe does not lower or the
+        interleave count does not divide the stream's iterations.
+        """
+        return interleave_stream(self._base_stream(point, lowering), point.interleave)
+
+    def counts(self, point: PlanPoint, lowering: Target) -> dict[IClass, float]:
+        """``self.stream(point, lowering).counts()``, computed from the
+        base stream without building the interleaved one; raises the
+        same ``ValueError``."""
+        return interleaved_counts(
+            self._base_stream(point, lowering), point.interleave
+        )
+
+    def timed(self, point: PlanPoint) -> tuple[MStream, CycleBreakdown, float]:
+        """The vector point's machine stream, its timing, and its vector
+        cycles with the scalar tail; raises like :meth:`stream`.
+
+        The vector loop pays its own cycles plus a scalar tail for the
+        remainder iterations.  The stream of an unrolled-by-``u`` kernel
+        counts its remainder in *unrolled* iterations, each worth ``u``
+        original ones at the scalar baseline's per-iteration rate.
+        """
+        stream = self.stream(point, self.target)
+        vb = analyze_stream(stream, self.target)
+        tail = stream.remainder * point.unroll
+        return stream, vb, vb.total + tail * self.scalar_timing.per_iter
+
+
 def measure_kernel(
     kernel: LoopKernel,
     target: Target,
@@ -125,26 +322,16 @@ def measure_kernel(
     vectorizer: str = "llv",
     jitter: float = 0.0,
     seed: int = 0,
-    guard_probs: Optional[dict[int, float]] = None,
 ) -> Union[MeasuredSample, VectorizationFailure]:
     """Measure the vectorization speedup of ``kernel`` on ``target``.
 
     Returns a :class:`VectorizationFailure` when the kernel cannot be
     vectorized (the paper's study excludes those loops too).
     """
-    if vectorizer == "llv":
-        result = vectorize_loop(kernel, target, vf)
-    elif vectorizer == "slp":
-        from ..vectorize.slp import slp_vectorize
-
-        result = slp_vectorize(kernel, target, vf)
-    else:
-        raise ValueError(f"unknown vectorizer {vectorizer!r}")
+    result = _vectorize(kernel, target, vf, vectorizer)
     if isinstance(result, VectorizationFailure):
         return result
-    return measure_plan(
-        result, target, jitter=jitter, seed=seed, guard_probs=guard_probs
-    )
+    return measure_plan(result, target, jitter=jitter, seed=seed)
 
 
 def measure_plan(
@@ -153,55 +340,38 @@ def measure_plan(
     *,
     jitter: float = 0.0,
     seed: int = 0,
-    guard_probs: Optional[dict[int, float]] = None,
 ) -> MeasuredSample:
     """Measure an existing plan (scalar baseline vs vector execution).
 
-    The plan is lowered for ``target`` and, unless ``GENERIC_IR`` gives
+    The plan is its recipe's interleave-1 point in a :class:`PlanSpace`
+    at ``seed``: lowered for ``target`` and, unless ``GENERIC_IR`` gives
     the same answers to everything that lowering read from its target,
     once more for the IR-level view.
     """
     kernel = plan.kernel
-    if guard_probs is None:
-        guard_probs = estimate_guard_probs(kernel, seed=seed)
-
-    def lower(lowering: Target) -> MStream:
-        if plan.kind == "slp":
-            return lower_slp(plan, lowering, guard_probs)
-        return lower_vector(plan, lowering)
-
-    scalar_stream = lower_scalar(kernel, target, guard_probs=guard_probs)
-    vector_stream = lower(target)
-    if gives_answers(GENERIC_IR, vector_stream.target_answers):
-        ir_vector_stream = vector_stream
-    else:
-        ir_vector_stream = lower(GENERIC_IR)
-
-    sb = analyze_stream(scalar_stream, target)
-    vb = analyze_stream(vector_stream, target)
-    scalar_cycles = sb.total
-    # The vector loop pays its own cycles plus a scalar tail for the
-    # remainder iterations.
-    vector_cycles = vb.total + vector_stream.remainder * sb.per_iter
+    space = PlanSpace(kernel, target, seed=seed)
+    point = space.install(plan)
+    vector_stream, vb, vector_cycles = space.timed(point)
+    sb = space.scalar_timing
 
     # zlib.crc32 is stable across processes (unlike hash(), which is
     # salted per interpreter) — measurements must be reproducible.
     rng = np.random.default_rng(
         np.random.SeedSequence([seed, zlib.crc32(kernel.name.encode())])
     )
-    scalar_cycles = apply_jitter(scalar_cycles, rng, jitter)
+    scalar_cycles = apply_jitter(sb.total, rng, jitter)
     vector_cycles = apply_jitter(vector_cycles, rng, jitter)
 
     return MeasuredSample(
         kernel=kernel,
         target=target,
         plan=plan,
-        scalar_stream=scalar_stream,
+        scalar_stream=space.scalar_stream,
         vector_stream=vector_stream,
-        ir_vector_stream=ir_vector_stream,
+        ir_vector_stream=space.stream(point, GENERIC_IR),
         scalar_cycles=scalar_cycles,
         vector_cycles=vector_cycles,
         scalar_breakdown=sb,
         vector_breakdown=vb,
-        guard_probs=guard_probs,
+        guard_probs=space.guard_probs,
     )

@@ -80,6 +80,6 @@ def pytest_addoption(parser):
         default=300,
         metavar="N",
         help="generated kernels whose shared plan-space streams the "
-        "lowering-share test checks against fresh lowerings "
-        "(default: %(default)s)",
+        "lowering-share tests check against fresh lowerings, and whose "
+        "samples against their plan points (default: %(default)s)",
     )

@@ -38,6 +38,7 @@ from repro.ir.stmt import IfBlock
 from repro.pipeline.faultinject import parse_faults
 from repro.serve.chaos import suite_payloads
 from repro.settings import current, use
+from repro.sim import measure as measure_mod
 from repro.targets import ARMV8_NEON, X86_AVX2
 from repro.tsvc import all_kernels
 from repro.vectorize.plan import (
@@ -102,7 +103,7 @@ def test_enumeration_emits_only_legal_points(kernel):
     assert len(set(points)) == len(points), "duplicate plan points"
     bases: dict = {}
     for point in points[1:]:
-        result = points_mod.materialize_point(
+        result = measure_mod.materialize_point(
             kernel, ARMV8_NEON, point, bases=bases
         )
         assert is_plan(result), (
@@ -416,21 +417,21 @@ def test_plan_space_builds_each_recipe_once(model, monkeypatch, driver):
     builds: list = []
     lowerings: Counter = Counter()
     for name in ("vectorize_loop", "slp_vectorize"):
-        real = getattr(points_mod, name)
+        real = getattr(measure_mod, name)
 
         def build(base, target, vf, _real=real):
             builds.append(vf)
             return _real(base, target, vf)
 
-        monkeypatch.setattr(points_mod, name, build)
+        monkeypatch.setattr(measure_mod, name, build)
     for name in ("lower_vector", "lower_slp"):
-        real = getattr(points_mod, name)
+        real = getattr(measure_mod, name)
 
         def lower(plan, target, *rest, _real=real):
             lowerings[id(plan), target.name] += 1
             return _real(plan, target, *rest)
 
-        monkeypatch.setattr(points_mod, name, lower)
+        monkeypatch.setattr(measure_mod, name, lower)
     kernels = [
         k for k in IDENTITY_SLICE
         if _recipe_kinds(enumerate_plan_points(k, ARMV8_NEON)) == {"slp", "unroll"}
@@ -458,13 +459,13 @@ def test_e14_vectorizes_each_recipe_once_per_kernel(model, monkeypatch):
 
     builds: list = []
     for name in ("vectorize_loop", "slp_vectorize"):
-        real = getattr(points_mod, name)
+        real = getattr(measure_mod, name)
 
         def build(base, target, vf, _real=real):
             builds.append(vf)
             return _real(base, target, vf)
 
-        monkeypatch.setattr(points_mod, name, build)
+        monkeypatch.setattr(measure_mod, name, build)
     covered = set()
     for kernel in IDENTITY_SLICE[:16]:
         builds.clear()
@@ -498,7 +499,7 @@ def test_lowering_error_is_kept_per_recipe(model, monkeypatch):
     broken = next(p for p in points if p.strategy == "llv" and p.interleave > 1)
     broken_plan = space.plan(broken)
     calls: Counter = Counter()
-    real = points_mod.lower_vector
+    real = measure_mod.lower_vector
 
     def lower(plan, target):
         if plan is broken_plan:
@@ -506,7 +507,7 @@ def test_lowering_error_is_kept_per_recipe(model, monkeypatch):
             raise ValueError("no lowering")
         return real(plan, target)
 
-    monkeypatch.setattr(points_mod, "lower_vector", lower)
+    monkeypatch.setattr(measure_mod, "lower_vector", lower)
     same = [
         i for i, p in enumerate(points)
         if (p.strategy, p.vf, p.unroll) == (broken.strategy, broken.vf, broken.unroll)

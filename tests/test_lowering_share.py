@@ -2,15 +2,24 @@
 
 ``lower_vector`` and ``lower_slp`` read their target through a
 :class:`~repro.codegen.lowering.TargetView` and keep what they read in
-``MStream.target_answers``.  A :class:`~repro.dse.points.PlanSpace`
-keys its base streams by recipe and those answers, and ``measure_plan``
-reuses the machine stream as the IR-level view, whenever another target
-gives the same answers.  Sharing is only sound if the shared stream is
-exactly what a fresh lowering for the asking target builds; these tests
-check that on every recipe of the suite's ARM and x86 plan spaces, for
+``MStream.target_answers``.  A :class:`~repro.sim.measure.PlanSpace`
+keys its base streams by recipe and those answers, and hands one
+stream to every target that gives the same answers: to the search's
+scoring and measurement, and to a sample's machine stream and its
+IR-level view (``measure_plan`` measures through a space too).
+Sharing is only sound if the shared stream is exactly what a fresh
+lowering for the asking target builds; these tests check that on
+every recipe of the suite's ARM and x86 plan spaces, for
 ``GENERIC_IR``, ``ARMV8_NEON`` and ``X86_AVX2``.
 
-The corpus check's size is a command-line option: ``--lowering-corpus
+Samples and plan points come from the same space code, so a sample's
+plan measured as a plan point gives the sample's cycles exactly.  The
+end-to-end benchmark measures advise's verdicts as plan points
+(``measure_points``), and the advisor's reference speedup is a sample
+(``measure_kernel``).  The parity tests check that on the suite and
+the corpus, at the natural VF and at VF 2.
+
+The corpus checks' size is a command-line option: ``--lowering-corpus
 N`` kernels of the recorded explore corpus (generator seed 2018);
 tier-1 runs 300.
 """
@@ -24,13 +33,18 @@ import pytest
 from repro.codegen.lowering import TargetView, gives_answers
 from repro.codegen.slp_gen import lower_slp
 from repro.codegen.vector_gen import lower_vector
-from repro.dse.points import PlanSpace
+from repro.dse.points import measure_points
 from repro.gen import corpus_names, generate_kernel
 from repro.ir.stmt import IfBlock
-from repro.sim.measure import estimate_guard_probs, measure_kernel
+from repro.sim.measure import PlanSpace, estimate_guard_probs, measure_kernel
 from repro.targets import ARMV8_NEON, GENERIC_IR, X86_AVX2
 from repro.tsvc import all_kernels, get_kernel
-from repro.vectorize.plan import VectorizationFailure, enumerate_plan_points, is_plan
+from repro.vectorize.plan import (
+    PlanPoint,
+    VectorizationFailure,
+    enumerate_plan_points,
+    is_plan,
+)
 
 #: Generator seed of the recorded explore corpus.
 CORPUS_SEED = 2018
@@ -88,7 +102,29 @@ def _check_space(kernel, target) -> tuple[int, int]:
     return handed, shared
 
 
+def _check_point_parity(kernels, target, vectorizer, vf=None) -> int:
+    """Every kernel's unjittered sample and its plan's interleave-1 point
+    measure the same cycles, float for float; returns the samples
+    checked."""
+    checked = 0
+    for kernel in kernels:
+        m = measure_kernel(kernel, target, vf, vectorizer=vectorizer)
+        if isinstance(m, VectorizationFailure):
+            continue
+        point = PlanPoint(m.vf, 1, 1, m.plan.kind, target.name)
+        (got,) = measure_points(kernel, target, [point])
+        assert got.ok, (kernel.name, got.reason)
+        assert (got.scalar_cycles, got.vector_cycles) == (
+            m.scalar_cycles, m.vector_cycles
+        ), kernel.name
+        checked += 1
+    return checked
+
+
 SUITE = list(all_kernels())
+
+#: (target, vectorizer) of the suite datasets and the advisor's specs.
+SPECS = [(ARMV8_NEON, "llv"), (X86_AVX2, "llv"), (X86_AVX2, "slp")]
 
 
 @pytest.mark.parametrize("target", [ARMV8_NEON, X86_AVX2], ids=lambda t: t.name)
@@ -103,9 +139,7 @@ def test_plan_space_streams_equal_fresh_lowerings(target):
 
 
 @pytest.mark.parametrize(
-    "target, vectorizer",
-    [(ARMV8_NEON, "llv"), (X86_AVX2, "llv"), (X86_AVX2, "slp")],
-    ids=lambda v: getattr(v, "name", v),
+    "target, vectorizer", SPECS, ids=lambda v: getattr(v, "name", v)
 )
 def test_measure_plan_streams_equal_fresh_lowerings(target, vectorizer):
     shared = measured = 0
@@ -122,6 +156,14 @@ def test_measure_plan_streams_equal_fresh_lowerings(target, vectorizer):
         else:
             assert not gives_answers(GENERIC_IR, m.vector_stream.target_answers)
     assert 0 < shared < measured
+
+
+@pytest.mark.parametrize("vf", [None, 2], ids=["natural", "vf2"])
+@pytest.mark.parametrize(
+    "target, vectorizer", SPECS, ids=lambda v: getattr(v, "name", v)
+)
+def test_a_samples_plan_point_measures_its_cycles(target, vectorizer, vf):
+    assert _check_point_parity(SUITE, target, vectorizer, vf) > 0
 
 
 @pytest.mark.parametrize(
@@ -181,6 +223,18 @@ def test_corpus_plan_space_streams_equal_fresh_lowerings(request):
         handed += h
         shared += s
     assert 0 < shared < handed
+
+
+@pytest.mark.parametrize("vf", [None, 2], ids=["natural", "vf2"])
+@pytest.mark.parametrize(
+    "target, vectorizer", SPECS, ids=lambda v: getattr(v, "name", v)
+)
+def test_corpus_samples_plan_points_measure_their_cycles(
+    request, target, vectorizer, vf
+):
+    size = request.config.getoption("--lowering-corpus")
+    kernels = (generate_kernel(n) for n in corpus_names(size, seed=CORPUS_SEED))
+    assert _check_point_parity(kernels, target, vectorizer, vf) > 0
 
 
 def test_values_kept_on_shared_objects_survive_concurrent_lowering():
